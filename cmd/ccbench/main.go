@@ -53,7 +53,7 @@ func main() {
 		jsonOut     = flag.String("json", "", "write the parsed JSON summary to this file")
 		showVersion = flag.Bool("version", false, "print version information and exit")
 	)
-	flag.Parse()
+	runctl.ParseFlags(flag.CommandLine, os.Args[1:])
 
 	if *showVersion {
 		fmt.Println(runctl.VersionString("ccbench"))

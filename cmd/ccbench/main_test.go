@@ -3,6 +3,9 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/clitest"
+	"repro/internal/runctl"
 )
 
 func TestParseBenchOutput(t *testing.T) {
@@ -41,4 +44,13 @@ random text
 	if got := parseBenchOutput(strings.NewReader(sample)); len(got) != 0 {
 		t.Fatalf("expected no results, got %+v", got)
 	}
+}
+
+func TestMain(m *testing.M) { clitest.Main(m, main) }
+
+// TestBadFlagExitCode pins the flag half of the exit-code contract on the
+// real entry point: an unknown flag is a usage error, -h a clean exit.
+func TestBadFlagExitCode(t *testing.T) {
+	clitest.ExpectCode(t, runctl.ExitUsage, "-bogus")
+	clitest.ExpectCode(t, runctl.ExitClean, "-h")
 }

@@ -61,7 +61,7 @@ func main() {
 		timeout     = flag.Duration("timeout", 0, "wall-clock limit for the whole campaign (0: none)")
 		showVersion = flag.Bool("version", false, "print version information and exit")
 	)
-	flag.Parse()
+	runctl.ParseFlags(flag.CommandLine, os.Args[1:])
 
 	if *showVersion {
 		fmt.Println(runctl.VersionString("cccampaign"))

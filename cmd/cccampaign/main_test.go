@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/clitest"
+	"repro/internal/runctl"
 )
 
 func TestBuildJobsCrossProduct(t *testing.T) {
@@ -105,4 +107,13 @@ func TestExitCodeMapping(t *testing.T) {
 	if code != 2 {
 		t.Fatalf("mutant campaign exit = %d, want 2 (confirmed violations)", code)
 	}
+}
+
+func TestMain(m *testing.M) { clitest.Main(m, main) }
+
+// TestBadFlagExitCode pins the flag half of the exit-code contract on the
+// real entry point: an unknown flag is a usage error, -h a clean exit.
+func TestBadFlagExitCode(t *testing.T) {
+	clitest.ExpectCode(t, runctl.ExitUsage, "-bogus")
+	clitest.ExpectCode(t, runctl.ExitClean, "-h")
 }

@@ -36,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 
 	"repro/internal/ckptio"
 	"repro/internal/enum"
@@ -87,7 +88,7 @@ func main() {
 		memProfile  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		showVersion = flag.Bool("version", false, "print version information and exit")
 	)
-	flag.Parse()
+	runctl.ParseFlags(flag.CommandLine, os.Args[1:])
 
 	if *showVersion {
 		fmt.Println(runctl.VersionString("ccenum"))
@@ -148,16 +149,20 @@ func run(ctx context.Context, protoName string, n int, o cliOpts) (int, error) {
 	// whichever branch below selects the protocol and equivalence.
 	var graphProto *fsm.Protocol
 	var graphMode string
-	opts := enum.Options{
-		Strict:           o.strict,
-		MaxStates:        o.max,
-		CheckpointOnStop: o.checkpoint != "",
+	workers := o.workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	opts.RunConfig.Budget.MaxBytes = o.memBudget
-	opts.RunConfig.SpillDir = o.spillDir
-	// Spilling lives in the parallel engine; -spill-dir with the default
-	// -workers 1 runs it with a single worker (bit-identical results).
-	parallel := o.workers != 1 || o.spillDir != ""
+	opts := enum.Options{
+		RunConfig: runctl.RunConfig{
+			Budget:           runctl.Budget{MaxBytes: o.memBudget},
+			CheckpointOnStop: o.checkpoint != "",
+			Workers:          workers,
+			SpillDir:         o.spillDir,
+		},
+		Strict:    o.strict,
+		MaxStates: o.max,
+	}
 	if o.progress {
 		opts.RunConfig.Observer = obs.Progress(os.Stderr)
 	}
@@ -196,12 +201,8 @@ func run(ctx context.Context, protoName string, n int, o cliOpts) (int, error) {
 			return 0, err
 		}
 		n = cp.N
-		var res *enum.Result
-		if parallel {
-			res, err = enum.ResumeParallelContext(ctx, p, cp, opts, o.workers)
-		} else {
-			res, err = enum.ResumeContext(ctx, p, cp, opts)
-		}
+		opts.Resume = cp
+		res, err := enum.Run(ctx, p, n, opts)
 		if err != nil {
 			return 0, err
 		}
@@ -236,17 +237,8 @@ func run(ctx context.Context, protoName string, n int, o cliOpts) (int, error) {
 		}
 		graphProto, graphMode = p, runners[0].mode
 		for _, r := range runners {
-			var res *enum.Result
-			switch {
-			case !parallel && r.mode == enum.ModeStrict:
-				res, err = enum.ExhaustiveContext(ctx, p, n, opts)
-			case !parallel:
-				res, err = enum.CountingContext(ctx, p, n, opts)
-			case r.mode == enum.ModeStrict:
-				res, err = enum.ExhaustiveParallelContext(ctx, p, n, opts, o.workers)
-			default:
-				res, err = enum.CountingParallelContext(ctx, p, n, opts, o.workers)
-			}
+			opts.Mode = r.mode
+			res, err := enum.Run(ctx, p, n, opts)
 			if err != nil {
 				return 0, err
 			}

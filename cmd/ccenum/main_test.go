@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clitest"
 	"repro/internal/enum"
+	"repro/internal/runctl"
 )
 
 func TestRunModes(t *testing.T) {
@@ -127,4 +129,13 @@ func TestInterruptCheckpointResume(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("resumed run exit code %d, want 0", code)
 	}
+}
+
+func TestMain(m *testing.M) { clitest.Main(m, main) }
+
+// TestBadFlagExitCode pins the flag half of the exit-code contract on the
+// real entry point: an unknown flag is a usage error, -h a clean exit.
+func TestBadFlagExitCode(t *testing.T) {
+	clitest.ExpectCode(t, runctl.ExitUsage, "-bogus")
+	clitest.ExpectCode(t, runctl.ExitClean, "-h")
 }

@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/clitest"
+	"repro/internal/runctl"
+)
 
 // TestRunnersExecute drives every experiment runner end to end, except the
 // heavyweight complexity/workload sweeps which are covered (with smaller
@@ -41,4 +46,13 @@ func TestExperimentTableComplete(t *testing.T) {
 			t.Errorf("experiment %q incomplete", e.name)
 		}
 	}
+}
+
+func TestMain(m *testing.M) { clitest.Main(m, main) }
+
+// TestBadFlagExitCode pins the flag half of the exit-code contract on the
+// real entry point: an unknown flag is a usage error, -h a clean exit.
+func TestBadFlagExitCode(t *testing.T) {
+	clitest.ExpectCode(t, runctl.ExitUsage, "-bogus")
+	clitest.ExpectCode(t, runctl.ExitClean, "-h")
 }

@@ -43,7 +43,7 @@ func main() {
 		memProfile  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		showVersion = flag.Bool("version", false, "print version information and exit")
 	)
-	flag.Parse()
+	runctl.ParseFlags(flag.CommandLine, os.Args[1:])
 
 	if *showVersion {
 		fmt.Println(runctl.VersionString("ccreplay"))

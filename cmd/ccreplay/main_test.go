@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/clitest"
 	"repro/internal/fsm"
 	"repro/internal/runctl"
 )
@@ -119,4 +120,13 @@ func TestRunCanceledStops(t *testing.T) {
 	if strings.Contains(out.String(), "step 1") {
 		t.Error("no step must execute under a pre-canceled context")
 	}
+}
+
+func TestMain(m *testing.M) { clitest.Main(m, main) }
+
+// TestBadFlagExitCode pins the flag half of the exit-code contract on the
+// real entry point: an unknown flag is a usage error, -h a clean exit.
+func TestBadFlagExitCode(t *testing.T) {
+	clitest.ExpectCode(t, runctl.ExitUsage, "-bogus")
+	clitest.ExpectCode(t, runctl.ExitClean, "-h")
 }

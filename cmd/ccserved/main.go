@@ -149,7 +149,7 @@ func main() {
 		peerProbe      = flag.Duration("peer-probe-interval", 0, "background /healthz probe cadence (0: 2s)")
 		peerComputeTO  = flag.Duration("peer-compute-timeout", 0, "total wall-clock budget for one forwarded compute across owners (0: 120s)")
 	)
-	flag.Parse()
+	runctl.ParseFlags(flag.CommandLine, os.Args[1:])
 
 	if *showVersion {
 		fmt.Println(runctl.VersionString("ccserved"))

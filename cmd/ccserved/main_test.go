@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clitest"
 	"repro/internal/runctl"
 	"repro/internal/serve"
 )
@@ -273,4 +274,13 @@ func TestRunClusterPeerFill(t *testing.T) {
 			t.Fatal("a daemon did not exit after cancellation")
 		}
 	}
+}
+
+func TestMain(m *testing.M) { clitest.Main(m, main) }
+
+// TestBadFlagExitCode pins the flag half of the exit-code contract on the
+// real entry point: an unknown flag is a usage error, -h a clean exit.
+func TestBadFlagExitCode(t *testing.T) {
+	clitest.ExpectCode(t, runctl.ExitUsage, "-bogus")
+	clitest.ExpectCode(t, runctl.ExitClean, "-h")
 }

@@ -4,6 +4,9 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"repro/internal/clitest"
+	"repro/internal/runctl"
 )
 
 func TestRunWorkloads(t *testing.T) {
@@ -48,4 +51,13 @@ func TestRunTimeoutStops(t *testing.T) {
 	if code, err := run(ctx, "msi", 0, 0, 0, "", "", 0, 0, 0, "2"); err != nil || code != 3 {
 		t.Errorf("cross-check under expired deadline: code %d err %v, want 3 nil", code, err)
 	}
+}
+
+func TestMain(m *testing.M) { clitest.Main(m, main) }
+
+// TestBadFlagExitCode pins the flag half of the exit-code contract on the
+// real entry point: an unknown flag is a usage error, -h a clean exit.
+func TestBadFlagExitCode(t *testing.T) {
+	clitest.ExpectCode(t, runctl.ExitUsage, "-bogus")
+	clitest.ExpectCode(t, runctl.ExitClean, "-h")
 }

@@ -85,7 +85,7 @@ func main() {
 
 // runGen materializes a workload spec into a trace file.
 func runGen(args []string) (int, error) {
-	fs := flag.NewFlagSet("cctrace gen", flag.ExitOnError)
+	fs := flag.NewFlagSet("cctrace gen", flag.ContinueOnError)
 	var (
 		kind    = fs.String("workload", "uniform", "workload kind ("+strings.Join(replay.Kinds(), ", ")+")")
 		seed    = fs.Int64("seed", 1993, "workload RNG seed; same seed, same bytes")
@@ -100,7 +100,7 @@ func runGen(args []string) (int, error) {
 		gz      = fs.Bool("gzip", false, "gzip-compress the output")
 		out     = fs.String("o", "-", "output file (-: stdout)")
 	)
-	fs.Parse(args)
+	runctl.ParseFlags(fs, args)
 	if fs.NArg() != 0 {
 		return 0, fmt.Errorf("gen takes no positional arguments, got %q", fs.Args())
 	}
@@ -201,10 +201,10 @@ func openTrace(fs *flag.FlagSet) (io.ReadCloser, error) {
 
 // runReplay replays one trace through one protocol.
 func runReplay(args []string) (int, error) {
-	fs := flag.NewFlagSet("cctrace replay", flag.ExitOnError)
+	fs := flag.NewFlagSet("cctrace replay", flag.ContinueOnError)
 	protoName := fs.String("protocol", "illinois", "built-in protocol name ("+strings.Join(protocols.Names(), ", ")+")")
 	rf := addReplayFlags(fs)
-	fs.Parse(args)
+	runctl.ParseFlags(fs, args)
 
 	p, err := protocols.ByName(*protoName)
 	if err != nil {
@@ -236,11 +236,11 @@ func runReplay(args []string) (int, error) {
 
 // runCompare fans one trace out to several protocols.
 func runCompare(args []string) (int, error) {
-	fs := flag.NewFlagSet("cctrace compare", flag.ExitOnError)
+	fs := flag.NewFlagSet("cctrace compare", flag.ContinueOnError)
 	protoNames := fs.String("protocols", "msi,mesi,moesi,dragon", "comma-separated protocol names")
 	jsonOut := fs.String("json", "", "write the comparison report as JSON to this file (-: stdout)")
 	rf := addReplayFlags(fs)
-	fs.Parse(args)
+	runctl.ParseFlags(fs, args)
 
 	var protos []*fsm.Protocol
 	for _, name := range strings.Split(*protoNames, ",") {

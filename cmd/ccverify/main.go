@@ -134,7 +134,7 @@ func main() {
 		memProfile  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		showVersion = flag.Bool("version", false, "print version information and exit")
 	)
-	flag.Parse()
+	runctl.ParseFlags(flag.CommandLine, os.Args[1:])
 	if flag.NArg() == 1 && *protoName == "" && *specFile == "" && *loadFile == "" {
 		*protoName = flag.Arg(0)
 	} else if flag.NArg() > 0 {
@@ -257,17 +257,15 @@ func runEnumEngine(ctx context.Context, p *fsm.Protocol, o cliOpts, observer obs
 	if o.checkpoint != "" || o.resume != "" || o.crossCheck != "" || o.dotFile != "" || o.showLog || o.jsonFile != "" {
 		return 0, fmt.Errorf("-run %s supports only -n, -strict, -progress and -metrics-json (use ccenum for checkpointed enumeration)", o.engine)
 	}
-	eopts := enum.Options{
+	mode := enum.ModeStrict
+	if o.engine == "enum-counting" {
+		mode = enum.ModeCounting
+	}
+	res, err := enum.Run(ctx, p, o.n, enum.Options{
 		RunConfig: runctl.RunConfig{Observer: observer, Metrics: reg},
 		Strict:    o.strict,
-	}
-	var res *enum.Result
-	var err error
-	if o.engine == "enum-counting" {
-		res, err = enum.CountingContext(ctx, p, o.n, eopts)
-	} else {
-		res, err = enum.ExhaustiveContext(ctx, p, o.n, eopts)
-	}
+		Mode:      mode,
+	})
 	if err != nil {
 		return 0, err
 	}

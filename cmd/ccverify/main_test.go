@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clitest"
 	"repro/internal/obs"
+	"repro/internal/runctl"
 )
 
 func TestLoadProtocolByName(t *testing.T) {
@@ -238,4 +240,13 @@ func TestMetricsJSONGolden(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("metrics snapshot drifted from golden file.\ngot:\n%s\nwant:\n%s", got, want)
 	}
+}
+
+func TestMain(m *testing.M) { clitest.Main(m, main) }
+
+// TestBadFlagExitCode pins the flag half of the exit-code contract on the
+// real entry point: an unknown flag is a usage error, -h a clean exit.
+func TestBadFlagExitCode(t *testing.T) {
+	clitest.ExpectCode(t, runctl.ExitUsage, "-bogus")
+	clitest.ExpectCode(t, runctl.ExitClean, "-h")
 }

@@ -669,10 +669,12 @@ func (r *runner) attemptEnum(rg rung, budget runctl.Budget) (bool, bool, error) 
 		RunConfig: runctl.RunConfig{
 			Budget:           budget,
 			CheckpointOnStop: r.store != nil,
+			Workers:          rg.workers,
 			Observer:         r.policy.Observer,
 			Metrics:          r.policy.Metrics,
 		},
 		Strict: r.job.Strict,
+		Mode:   enumMode(rg.engine),
 	}
 	if r.store != nil {
 		saves := 0
@@ -704,22 +706,8 @@ func (r *runner) attemptEnum(rg rung, budget runctl.Budget) (bool, bool, error) 
 		}
 	}
 
-	var res *enum.Result
-	var err error
-	switch {
-	case cp != nil && rg.workers > 1:
-		res, err = enum.ResumeParallelContext(r.ctx, r.proto, cp, opts, rg.workers)
-	case cp != nil:
-		res, err = enum.ResumeContext(r.ctx, r.proto, cp, opts)
-	case rg.workers > 1 && rg.engine == EngineEnumCounting:
-		res, err = enum.CountingParallelContext(r.ctx, r.proto, rg.n, opts, rg.workers)
-	case rg.workers > 1:
-		res, err = enum.ExhaustiveParallelContext(r.ctx, r.proto, rg.n, opts, rg.workers)
-	case rg.engine == EngineEnumCounting:
-		res, err = enum.CountingContext(r.ctx, r.proto, rg.n, opts)
-	default:
-		res, err = enum.ExhaustiveContext(r.ctx, r.proto, rg.n, opts)
-	}
+	opts.Resume = cp
+	res, err := enum.Run(r.ctx, r.proto, rg.n, opts)
 	resumed := cp != nil
 	if err != nil {
 		return false, resumed, err
@@ -753,6 +741,7 @@ func (r *runner) attemptSymbolic(rg rung, budget runctl.Budget) (bool, bool, err
 		RunConfig: runctl.RunConfig{
 			Budget:           budget,
 			CheckpointOnStop: r.store != nil,
+			Workers:          rg.workers,
 			Observer:         r.policy.Observer,
 			Metrics:          r.policy.Metrics,
 		},
@@ -787,18 +776,8 @@ func (r *runner) attemptSymbolic(rg rung, budget runctl.Budget) (bool, bool, err
 		}
 	}
 
-	opts.RunConfig.Workers = rg.workers
-	var res *symbolic.Result
-	switch {
-	case cp != nil && rg.workers > 1:
-		res, err = eng.ResumeParallelContext(r.ctx, cp, opts, rg.workers)
-	case cp != nil:
-		res, err = eng.ResumeContext(r.ctx, cp, opts)
-	case rg.workers > 1:
-		res, err = eng.ExpandParallelContext(r.ctx, opts, rg.workers)
-	default:
-		res, err = eng.ExpandContext(r.ctx, opts)
-	}
+	opts.Resume = cp
+	res, err := eng.Run(r.ctx, opts)
 	resumed := cp != nil
 	if err != nil {
 		return false, resumed, err

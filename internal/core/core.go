@@ -134,6 +134,7 @@ func VerifyContext(ctx context.Context, p *fsm.Protocol, opts Options) (*Report,
 		RunConfig: runctl.RunConfig{
 			Budget:           opts.Budget,
 			CheckpointOnStop: opts.CheckpointOnStop,
+			Workers:          opts.SymbolicWorkers,
 			Observer:         opts.Observer,
 			Metrics:          opts.Metrics,
 		},
@@ -141,18 +142,9 @@ func VerifyContext(ctx context.Context, p *fsm.Protocol, opts Options) (*Report,
 		RecordLog:       opts.RecordLog,
 		StopOnViolation: opts.StopOnViolation,
 		Strict:          opts.Strict,
+		Resume:          opts.Resume,
 	}
-	symOpts.RunConfig.Workers = opts.SymbolicWorkers
-	switch {
-	case opts.Resume != nil && opts.SymbolicWorkers > 1:
-		rep.Symbolic, err = eng.ResumeParallelContext(ctx, opts.Resume, symOpts, opts.SymbolicWorkers)
-	case opts.Resume != nil:
-		rep.Symbolic, err = eng.ResumeContext(ctx, opts.Resume, symOpts)
-	case opts.SymbolicWorkers > 1:
-		rep.Symbolic, err = eng.ExpandParallelContext(ctx, symOpts, opts.SymbolicWorkers)
-	default:
-		rep.Symbolic, err = eng.ExpandContext(ctx, symOpts)
-	}
+	rep.Symbolic, err = eng.Run(ctx, symOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +181,8 @@ func VerifyContext(ctx context.Context, p *fsm.Protocol, opts Options) (*Report,
 // that every reachable state is covered by an essential state.
 func crossCheck(ctx context.Context, eng *symbolic.Engine, essential []*symbolic.CState, n int, opts Options) (*CrossCheck, error) {
 	p := eng.Protocol()
-	res, err := enum.CountingContext(ctx, p, n, enum.Options{
+	res, err := enum.Run(ctx, p, n, enum.Options{
+		Mode: enum.ModeCounting,
 		RunConfig: runctl.RunConfig{
 			Budget:   opts.Budget,
 			Observer: opts.Observer,

@@ -1,10 +1,8 @@
 package enum
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"sort"
 
 	"repro/internal/ckptio"
@@ -233,53 +231,37 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	return DecodeCheckpoint(data)
 }
 
-// ResumeContext continues an interrupted sequential enumeration from a
-// checkpoint. The run's mode, cache count and strictness come from the
-// checkpoint (opts.Strict is ignored); budgets, KeepReachable and the
-// checkpoint options come from opts. An uninterrupted run and an
-// interrupted-then-resumed run reach identical state counts.
-func ResumeContext(ctx context.Context, p *fsm.Protocol, cp *Checkpoint, opts Options) (*Result, error) {
-	b, frontier, err := resumeBFS(p, cp, opts)
-	if err != nil {
-		return nil, err
-	}
-	return b.runSeq(ctx, frontier)
-}
-
-// ResumeParallelContext continues an interrupted enumeration with the
-// level-synchronous parallel engine. Checkpoints from either engine are
-// accepted: the frontier is simply treated as the first level.
-func ResumeParallelContext(ctx context.Context, p *fsm.Protocol, cp *Checkpoint, opts Options, workers int) (*Result, error) {
-	b, frontier, err := resumeBFS(p, cp, opts)
-	if err != nil {
-		return nil, err
-	}
-	if workers <= 0 {
-		workers = b.rc.Workers
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return b.runPar(ctx, frontier, workers)
-}
-
-// resumeBFS rebuilds the shared run state from a checkpoint.
-func resumeBFS(p *fsm.Protocol, cp *Checkpoint, opts Options) (*bfs, []*fsm.Config, error) {
-	if err := p.Validate(); err != nil {
-		return nil, nil, err
-	}
+// resumeBFS rebuilds the shared run state from opts.Resume and returns
+// the checkpoint's frontier (never nil). A non-zero n or a non-empty
+// opts.Mode must match the checkpoint.
+func resumeBFS(p *fsm.Protocol, n int, opts Options) (*bfs, []*fsm.Config, error) {
+	cp := opts.Resume
 	if cp.Version != CheckpointVersion {
 		return nil, nil, fmt.Errorf("enum: unsupported checkpoint version %d (this build reads version %d; checkpoints from older builds cannot be resumed — re-run the enumeration)", cp.Version, CheckpointVersion)
 	}
 	if cp.Protocol != p.Name {
 		return nil, nil, fmt.Errorf("enum: checkpoint is for protocol %q, not %q", cp.Protocol, p.Name)
 	}
+	if n != 0 && n != cp.N {
+		return nil, nil, fmt.Errorf("enum: checkpoint is for %d caches, not %d", cp.N, n)
+	}
+	if opts.Mode != "" && opts.Mode != cp.Mode {
+		return nil, nil, fmt.Errorf("enum: checkpoint is a %s run, not %s", cp.Mode, opts.Mode)
+	}
 	if cp.N < 1 {
 		return nil, nil, fmt.Errorf("enum: checkpoint has invalid cache count %d", cp.N)
 	}
-	if err := validMode(cp.Mode); err != nil {
+	if len(cp.Parents) != len(cp.Visited) {
+		return nil, nil, fmt.Errorf("enum: checkpoint has %d visited states but %d provenance records", len(cp.Visited), len(cp.Parents))
+	}
+	opts.Strict = cp.Strict
+	b, err := newBFS(p, cp.N, cp.Mode, opts)
+	if err != nil {
 		return nil, nil, err
 	}
+	b.opts.Resume = nil // the restored state replaces it; don't pin it for the run
+	b.res.Visits = cp.Visits
+	b.parents = make([]parentRec, 0, len(cp.Parents))
 	known := make(map[fsm.State]bool, len(p.States))
 	for _, s := range p.States {
 		known[s] = true
@@ -299,36 +281,6 @@ func resumeBFS(p *fsm.Protocol, cp *Checkpoint, opts Options) (*bfs, []*fsm.Conf
 		}
 		return c, nil
 	}
-
-	if cp.N > 1<<16-1 {
-		return nil, nil, fmt.Errorf("enum: checkpoint cache count %d exceeds the provenance-record limit %d", cp.N, 1<<16-1)
-	}
-	if len(cp.Parents) != len(cp.Visited) {
-		return nil, nil, fmt.Errorf("enum: checkpoint has %d visited states but %d provenance records", len(cp.Visited), len(cp.Parents))
-	}
-	opts.Strict = cp.Strict
-	rc := opts.runCtl()
-	maxStates := rc.Budget.MaxStates
-	if maxStates <= 0 {
-		maxStates = opts.MaxStates
-	}
-	if maxStates <= 0 {
-		maxStates = defaultMaxStates
-	}
-	opIx, err := buildOpIndex(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	b := &bfs{
-		p: p, n: cp.N, opts: opts, rc: rc, kc: newKeyCodec(p, cp.N, cp.Mode), mode: cp.Mode,
-		orun:      rc.Sink().Run("enum-"+cp.Mode, p.Name),
-		symmetric: cp.Mode == ModeCounting,
-		maxStates: maxStates,
-		opIx:      opIx,
-		parents:   make([]parentRec, 0, len(cp.Parents)),
-		res:       &Result{Protocol: p, N: cp.N, Visits: cp.Visits},
-	}
-	b.visited, b.tuples = newStores(b.kc, cp.N)
 	// Re-inserting Visited in order reproduces the interrupted run's
 	// admission ranks, which the provenance records reference. Every
 	// record is validated (parent rank below its own, known op, cache in

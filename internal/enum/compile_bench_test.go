@@ -17,7 +17,7 @@ func benchFig2(b *testing.B, interpreted bool) {
 	p := protocols.Illinois()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := ExhaustiveContext(context.Background(), p, 7, Options{})
+		res, err := Run(context.Background(), p, 7, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

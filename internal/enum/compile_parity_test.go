@@ -84,13 +84,8 @@ func TestCompiledExpandMatchesInterpreted(t *testing.T) {
 			runOne := func(interpreted bool) string {
 				useInterpretedExpand = interpreted
 				defer func() { useInterpretedExpand = false }()
-				var res *Result
-				var err error
-				if mode == ModeCounting {
-					res, err = CountingContext(context.Background(), p, n, opts)
-				} else {
-					res, err = ExhaustiveContext(context.Background(), p, n, opts)
-				}
+				opts.Mode = mode
+				res, err := Run(context.Background(), p, n, opts)
 				if err != nil {
 					t.Fatalf("%s %s (interpreted=%v): %v", p.Name, mode, interpreted, err)
 				}

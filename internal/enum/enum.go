@@ -78,39 +78,15 @@ type Options struct {
 	// because the checkpoint type is engine-specific.
 	OnCheckpoint func(*Checkpoint) error
 
-	// Budget bounds the run.
-	//
-	// Deprecated: set RunConfig.Budget instead. This alias shadows the
-	// embedded field, is honored when non-zero, and will be removed in the
-	// next release.
-	Budget runctl.Budget
-	// CheckpointOnStop captures a resumable snapshot into Result.Checkpoint
-	// when the run is stopped early at a clean boundary.
-	//
-	// Deprecated: set RunConfig.CheckpointOnStop instead. Honored when
-	// true; removed in the next release.
-	CheckpointOnStop bool
-	// CheckpointEvery is the periodic snapshot cadence.
-	//
-	// Deprecated: set RunConfig.CheckpointEvery instead. Honored when
-	// positive; removed in the next release.
-	CheckpointEvery int
-}
-
-// runCtl resolves the effective run configuration: the embedded RunConfig,
-// overridden by any of the deprecated top-level aliases that are set.
-func (o Options) runCtl() runctl.RunConfig {
-	rc := o.RunConfig
-	if o.Budget != (runctl.Budget{}) {
-		rc.Budget = o.Budget
-	}
-	if o.CheckpointOnStop {
-		rc.CheckpointOnStop = true
-	}
-	if o.CheckpointEvery > 0 {
-		rc.CheckpointEvery = o.CheckpointEvery
-	}
-	return rc
+	// Mode selects the equivalence: ModeStrict (Figure 2) or ModeCounting
+	// (Definition 5). The zero value means strict.
+	Mode string
+	// Resume, when set, continues the interrupted run this checkpoint
+	// captured. The cache count, mode and strictness come from the
+	// checkpoint; a non-zero n or a non-empty Mode that differs from it is
+	// an error. Budgets, KeepReachable and the checkpoint options still
+	// come from these Options.
+	Resume *Checkpoint
 }
 
 const defaultMaxStates = 5000000
@@ -227,29 +203,51 @@ func validMode(mode string) error {
 	return nil
 }
 
+// Run is the one entry point of the explicit-state engine: a
+// breadth-first exploration of the global states for n caches under
+// opts.Mode, started fresh or continued from opts.Resume. Cancellation,
+// the context deadline and the budgets stop the run at a clean boundary,
+// returning the partial Result with a structured StopReason.
+//
+// RunConfig.Workers > 1 selects the level-synchronous parallel driver
+// with that many workers, and so does RunConfig.SpillDir (out-of-core
+// dedup exists only there; it then runs with at least one worker).
+// Otherwise the sequential queue loop runs. Both drivers produce
+// bit-identical Results and checkpoints, and either resumes the other's.
+func Run(ctx context.Context, p *fsm.Protocol, n int, opts Options) (*Result, error) {
+	var b *bfs
+	var frontier []*fsm.Config
+	var err error
+	if opts.Resume != nil {
+		b, frontier, err = resumeBFS(p, n, opts)
+	} else {
+		b, frontier, err = startBFS(p, n, opts)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if frontier == nil {
+		return b.res, nil // ended at the initial state
+	}
+	if opts.Workers > 1 || opts.SpillDir != "" {
+		return b.runPar(ctx, frontier, max(opts.Workers, 1))
+	}
+	return b.runSeq(ctx, frontier)
+}
+
 // Exhaustive runs the paper's Figure 2 algorithm: breadth-first exploration
 // of all strict global states for n caches.
 func Exhaustive(p *fsm.Protocol, n int, opts Options) (*Result, error) {
-	return ExhaustiveContext(context.Background(), p, n, opts)
-}
-
-// ExhaustiveContext is Exhaustive under a context: cancellation and the
-// context deadline stop the run at the next worklist item, returning the
-// partial Result with a structured StopReason.
-func ExhaustiveContext(ctx context.Context, p *fsm.Protocol, n int, opts Options) (*Result, error) {
-	return run(ctx, p, n, opts, ModeStrict)
+	opts.Mode = ModeStrict
+	return Run(context.Background(), p, n, opts)
 }
 
 // Counting runs the same exploration under counting equivalence
 // (Definition 5): permutations of a tuple collapse into one state, and
 // symmetric caches are expanded only once.
 func Counting(p *fsm.Protocol, n int, opts Options) (*Result, error) {
-	return CountingContext(context.Background(), p, n, opts)
-}
-
-// CountingContext is Counting under a context.
-func CountingContext(ctx context.Context, p *fsm.Protocol, n int, opts Options) (*Result, error) {
-	return run(ctx, p, n, opts, ModeCounting)
+	opts.Mode = ModeCounting
+	return Run(context.Background(), p, n, opts)
 }
 
 // bfs is the shared state of one enumeration run, used identically by the
@@ -260,8 +258,7 @@ type bfs struct {
 	p         *fsm.Protocol
 	n         int
 	opts      Options
-	rc        runctl.RunConfig // resolved run control (see Options.runCtl)
-	orun      *obs.Run         // nil when unobserved: the allocation-free fast path
+	orun      *obs.Run // nil when unobserved: the allocation-free fast path
 	kc        *keyCodec
 	mode      string
 	symmetric bool
@@ -322,45 +319,57 @@ func (b *bfs) estBytes() int64 {
 		int64(b.frontierLen)*cfgBytes(b.n)
 }
 
-// newBFS validates the inputs and seeds the run with the initial
-// configuration. done reports that the run already ended (initial-state
-// violation under StopOnViolation).
-func newBFS(p *fsm.Protocol, n int, opts Options, mode string) (b *bfs, init *fsm.Config, done bool, err error) {
+// newBFS validates the inputs and builds the empty run state shared by
+// fresh and resumed runs.
+func newBFS(p *fsm.Protocol, n int, mode string, opts Options) (*bfs, error) {
 	if err := p.Validate(); err != nil {
-		return nil, nil, false, err
+		return nil, err
 	}
 	if n < 1 {
-		return nil, nil, false, fmt.Errorf("enum: need at least one cache, got %d", n)
+		return nil, fmt.Errorf("enum: need at least one cache, got %d", n)
 	}
 	if err := validMode(mode); err != nil {
-		return nil, nil, false, err
+		return nil, err
 	}
-	rc := opts.runCtl()
-	maxStates := rc.Budget.MaxStates
+	if n > 1<<16-1 {
+		return nil, fmt.Errorf("enum: cache count %d exceeds the provenance-record limit %d", n, 1<<16-1)
+	}
+	maxStates := opts.Budget.MaxStates
 	if maxStates <= 0 {
 		maxStates = opts.MaxStates
 	}
 	if maxStates <= 0 {
 		maxStates = defaultMaxStates
 	}
-	if n > 1<<16-1 {
-		return nil, nil, false, fmt.Errorf("enum: cache count %d exceeds the provenance-record limit %d", n, 1<<16-1)
-	}
 	opIx, err := buildOpIndex(p)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, err
 	}
-	b = &bfs{
-		p: p, n: n, opts: opts, rc: rc, kc: newKeyCodec(p, n, mode), mode: mode,
-		orun:      rc.Sink().Run("enum-"+mode, p.Name),
+	b := &bfs{
+		p: p, n: n, opts: opts, kc: newKeyCodec(p, n, mode), mode: mode,
+		orun:      opts.Sink().Run("enum-"+mode, p.Name),
 		symmetric: mode == ModeCounting,
 		maxStates: maxStates,
 		opIx:      opIx,
 		res:       &Result{Protocol: p, N: n},
 	}
 	b.visited, b.tuples = newStores(b.kc, n)
+	return b, nil
+}
 
-	init = fsm.NewConfig(p, n)
+// startBFS seeds a fresh run with the initial configuration and returns
+// the first frontier, or a nil frontier when the run already ended
+// (initial-state violation under StopOnViolation).
+func startBFS(p *fsm.Protocol, n int, opts Options) (*bfs, []*fsm.Config, error) {
+	mode := opts.Mode
+	if mode == "" {
+		mode = ModeStrict
+	}
+	b, err := newBFS(p, n, mode, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	init := fsm.NewConfig(p, n)
 	Canonicalize(init)
 	b.visited.insert(b.kc.key(init))
 	b.parents = append(b.parents, parentRec{parent: noParent})
@@ -375,10 +384,10 @@ func newBFS(p *fsm.Protocol, n int, opts Options, mode string) (b *bfs, init *fs
 		b.orun.Event(obs.MetricViolations, 1)
 		if opts.StopOnViolation {
 			b.finish()
-			return b, init, true, nil
+			return b, nil, nil
 		}
 	}
-	return b, init, false, nil
+	return b, []*fsm.Config{init}, nil
 }
 
 // stopCheck evaluates the boundary-granularity budgets: context liveness,
@@ -388,11 +397,11 @@ func (b *bfs) stopCheck(ctx context.Context) error {
 	if err := runctl.FromContext(ctx); err != nil {
 		return err
 	}
-	if err := b.rc.Budget.CheckDeadline(time.Now()); err != nil {
+	if err := b.opts.Budget.CheckDeadline(time.Now()); err != nil {
 		return err
 	}
 	b.bytes = b.estBytes()
-	return b.rc.Budget.CheckMem(b.bytes)
+	return b.opts.Budget.CheckMem(b.bytes)
 }
 
 // stop finalizes an early stop at a clean boundary: frontier holds the
@@ -402,7 +411,7 @@ func (b *bfs) stop(reason error, frontier []*fsm.Config) {
 	b.res.StopReason = reason
 	b.res.Truncated = true
 	b.finish()
-	if b.rc.CheckpointOnStop {
+	if b.opts.CheckpointOnStop {
 		cp, err := b.snapshot(frontier)
 		if err != nil {
 			b.res.SpecErrors = append(b.res.SpecErrors, fmt.Errorf("enum: capturing stop checkpoint: %w", err))
@@ -414,7 +423,7 @@ func (b *bfs) stop(reason error, frontier []*fsm.Config) {
 
 // maybeCheckpoint emits a periodic snapshot when due.
 func (b *bfs) maybeCheckpoint(frontier []*fsm.Config) error {
-	if b.opts.OnCheckpoint == nil || b.rc.CheckpointEvery <= 0 || b.sinceCp < b.rc.CheckpointEvery {
+	if b.opts.OnCheckpoint == nil || b.opts.CheckpointEvery <= 0 || b.sinceCp < b.opts.CheckpointEvery {
 		return nil
 	}
 	b.sinceCp = 0
@@ -521,17 +530,6 @@ func (b *bfs) commit(it succItem, viol []fsm.Violation, next *[]*fsm.Config) boo
 // testItemHook, when set by tests, observes each sequential expansion step
 // (called with the number of states expanded so far, before the step runs).
 var testItemHook func(expanded int)
-
-func run(ctx context.Context, p *fsm.Protocol, n int, opts Options, mode string) (*Result, error) {
-	b, init, done, err := newBFS(p, n, opts, mode)
-	if err != nil {
-		return nil, err
-	}
-	if done {
-		return b.res, nil
-	}
-	return b.runSeq(ctx, []*fsm.Config{init})
-}
 
 // runSeq drives the classic FIFO exploration of Figure 2. Budgets are
 // checked before each expansion step, so every dequeued state is either

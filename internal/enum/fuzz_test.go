@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/protocols"
+	"repro/internal/runctl"
 )
 
 // captureCheckpoint interrupts a real run at its first periodic snapshot
@@ -19,7 +20,8 @@ func captureCheckpoint(t testing.TB, mode string) []byte {
 	}
 	var captured []byte
 	opts := Options{
-		CheckpointEvery: 1,
+		RunConfig: runctl.RunConfig{CheckpointEvery: 1},
+		Mode:      mode,
 		OnCheckpoint: func(cp *Checkpoint) error {
 			captured, err = cp.Encode()
 			if err != nil {
@@ -28,11 +30,7 @@ func captureCheckpoint(t testing.TB, mode string) []byte {
 			return context.Canceled // stop the run; the snapshot is what we came for
 		},
 	}
-	if mode == ModeCounting {
-		_, _ = CountingContext(context.Background(), p, 3, opts)
-	} else {
-		_, _ = ExhaustiveContext(context.Background(), p, 3, opts)
-	}
+	_, _ = Run(context.Background(), p, 3, opts)
 	if captured == nil {
 		t.Fatal("run never produced a periodic checkpoint")
 	}
@@ -100,6 +98,6 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		// A decoded checkpoint must either resume (the canceled context
 		// stops the run at the first boundary) or fail with an error —
 		// never panic on smuggled-in inconsistencies.
-		_, _ = ResumeContext(canceled, p, cp, Options{})
+		_, _ = Run(canceled, p, 0, Options{Resume: cp})
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/fsm"
 	"repro/internal/protocols"
 	"repro/internal/randproto"
+	"repro/internal/runctl"
 )
 
 // TestPackedKeyPartitionMatchesLegacy is the correctness property of the
@@ -121,7 +122,7 @@ func TestOldCheckpointVersionRejected(t *testing.T) {
 			cancel()
 		}
 	}
-	partial, err := ExhaustiveContext(ctx, p, 4, Options{CheckpointOnStop: true})
+	partial, err := Run(ctx, p, 4, Options{RunConfig: runctl.RunConfig{CheckpointOnStop: true}})
 	testItemHook = nil
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +134,7 @@ func TestOldCheckpointVersionRejected(t *testing.T) {
 	cp := *partial.Checkpoint
 	cp.Version = 1
 
-	if _, err := ResumeContext(context.Background(), p, &cp, Options{}); err == nil {
+	if _, err := Run(context.Background(), p, 0, Options{Resume: &cp}); err == nil {
 		t.Fatal("resume accepted a version-1 checkpoint")
 	} else if !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 3") {
 		t.Fatalf("resume error must name both versions, got: %v", err)

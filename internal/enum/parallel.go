@@ -3,7 +3,6 @@ package enum
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -13,41 +12,18 @@ import (
 	"repro/internal/obs"
 )
 
-// ExhaustiveParallel runs the Figure 2 exhaustive search with a
-// level-synchronous parallel BFS. Within a level, workers expand disjoint
-// frontier slices and admit successors concurrently into a hash-sharded
-// pending set (the committed visited set is read-only during the level, so
-// dedup against prior levels is lock-free); the post-level reconcile then
-// applies the surviving admissions in a deterministic rank order that
-// reproduces the sequential engine's admission order exactly. The result
-// is bit-for-bit identical to Exhaustive — same distinct states, same
-// visit count, same violations — because visits count generated successors
-// (independent of exploration order) and rank order equals the order the
-// old single-threaded merge would have used.
-//
-// workers ≤ 0 selects GOMAXPROCS. The mⁿ state spaces of Section 3.1 are
-// embarrassingly parallel per level; the speedup benchmark
-// (BenchmarkParallelEnumeration) measures the gain on large n.
+// ExhaustiveParallel is Exhaustive with RunConfig.Workers set to
+// workers, so workers > 1 selects the level-synchronous parallel driver
+// (see Run and runPar); the result is bit-for-bit identical either way.
 func ExhaustiveParallel(p *fsm.Protocol, n int, opts Options, workers int) (*Result, error) {
-	return ExhaustiveParallelContext(context.Background(), p, n, opts, workers)
-}
-
-// ExhaustiveParallelContext is ExhaustiveParallel under a context:
-// cancellation, deadlines and the memory budget are checked at level
-// boundaries, so a stopped run contains whole levels only (its Visits and
-// violation sets are a deterministic prefix of the full run's).
-func ExhaustiveParallelContext(ctx context.Context, p *fsm.Protocol, n int, opts Options, workers int) (*Result, error) {
-	return runParallel(ctx, p, n, opts, ModeStrict, workers)
+	opts.Workers = workers
+	return Exhaustive(p, n, opts)
 }
 
 // CountingParallel is the counting-equivalence variant of ExhaustiveParallel.
 func CountingParallel(p *fsm.Protocol, n int, opts Options, workers int) (*Result, error) {
-	return CountingParallelContext(context.Background(), p, n, opts, workers)
-}
-
-// CountingParallelContext is CountingParallel under a context.
-func CountingParallelContext(ctx context.Context, p *fsm.Protocol, n int, opts Options, workers int) (*Result, error) {
-	return runParallel(ctx, p, n, opts, ModeCounting, workers)
+	opts.Workers = workers
+	return Counting(p, n, opts)
 }
 
 // WorkerError records a panic recovered in a parallel BFS worker. The
@@ -308,25 +284,6 @@ var (
 	testWorkerHook func(level, worker int)
 )
 
-func runParallel(ctx context.Context, p *fsm.Protocol, n int, opts Options, mode string, workers int) (*Result, error) {
-	b, init, done, err := newBFS(p, n, opts, mode)
-	if err != nil {
-		return nil, err
-	}
-	if done {
-		return b.res, nil
-	}
-	if workers <= 0 {
-		// The caller didn't pick: fall back to the shared run configuration,
-		// then to GOMAXPROCS.
-		workers = b.rc.Workers
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return b.runPar(ctx, []*fsm.Config{init}, workers)
-}
-
 // expandWorker is the body of one level worker: it expands a frontier
 // slice via expandOne, deduplicates each successor against the committed
 // visited set (read-only during the level, so the read is lock-free) and
@@ -357,8 +314,17 @@ func (b *bfs) expandWorker(w int, frontier []*fsm.Config, ps *pendSet) (int, []e
 }
 
 // runPar drives the level-synchronous parallel BFS over the shared bfs
-// state. Budgets are checked between levels; the reconcile applies the
-// pending admissions in rank order, which equals sequential order.
+// state. Within a level, workers expand disjoint frontier slices and
+// admit successors concurrently into a hash-sharded pending set (the
+// committed visited set is read-only during the level, so dedup against
+// prior levels is lock-free); the post-level reconcile then applies the
+// surviving admissions in rank order, which reproduces the sequential
+// engine's admission order exactly. The result is therefore bit-for-bit
+// identical to runSeq: visits count generated successors, independent of
+// exploration order. Budgets are checked between levels, so a stopped run
+// contains whole levels only. The mⁿ state spaces of Section 3.1 are
+// embarrassingly parallel per level; BenchmarkParallelEnumeration
+// measures the gain on large n.
 func (b *bfs) runPar(ctx context.Context, frontier []*fsm.Config, workers int) (*Result, error) {
 	sp := b.orun.Phase(obs.PhaseExpand)
 	defer sp.End()

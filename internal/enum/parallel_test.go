@@ -1,10 +1,42 @@
 package enum
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/protocols"
+	"repro/internal/runctl"
 )
+
+// TestRunPicksDriver pins Run's driver choice through the drivers' test
+// hooks: Workers 0 or 1 runs the sequential loop (item hook only) and
+// Workers 2 the level-parallel driver (level hook only), with identical
+// results.
+func TestRunPicksDriver(t *testing.T) {
+	p := protocols.Illinois()
+	ref, err := Exhaustive(p, 4, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { testItemHook, testLevelHook = nil, nil }()
+	for _, tc := range []struct {
+		workers  int
+		parallel bool
+	}{{0, false}, {1, false}, {2, true}} {
+		items, levels := 0, 0
+		testItemHook = func(int) { items++ }
+		testLevelHook = func(int) { levels++ }
+		res, err := Run(context.Background(), p, 4, Options{RunConfig: runctl.RunConfig{Workers: tc.workers}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (levels > 0) != tc.parallel || (items > 0) == tc.parallel {
+			t.Errorf("workers=%d: %d item and %d level hook calls, want parallel=%t",
+				tc.workers, items, levels, tc.parallel)
+		}
+		sameCounts(t, res, ref, "driver choice")
+	}
+}
 
 // TestParallelMatchesSequential: the level-synchronous parallel BFS must be
 // observationally identical to the sequential algorithm — same distinct

@@ -38,7 +38,7 @@ func TestSequentialCancelReturnsPartialResult(t *testing.T) {
 	}
 	defer func() { testItemHook = nil }()
 
-	res, err := ExhaustiveContext(ctx, p, 4, Options{})
+	res, err := Run(ctx, p, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestSequentialDeadlineStop(t *testing.T) {
 	p := protocols.Illinois()
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	res, err := ExhaustiveContext(ctx, p, 3, Options{})
+	res, err := Run(ctx, p, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestSequentialDeadlineStop(t *testing.T) {
 func TestBudgetDeadlineStop(t *testing.T) {
 	p := protocols.Illinois()
 	res, err := Exhaustive(p, 3, Options{
-		Budget: runctl.Budget{Deadline: time.Now().Add(-time.Minute)},
+		RunConfig: runctl.RunConfig{Budget: runctl.Budget{Deadline: time.Now().Add(-time.Minute)}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestBudgetDeadlineStop(t *testing.T) {
 func TestMemBudgetStop(t *testing.T) {
 	p := protocols.Illinois()
 	res, err := Exhaustive(p, 5, Options{
-		Budget: runctl.Budget{MaxBytes: 4096},
+		RunConfig: runctl.RunConfig{Budget: runctl.Budget{MaxBytes: 4096}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestMemBudgetStop(t *testing.T) {
 
 func TestBudgetMaxStatesSetsStopReason(t *testing.T) {
 	p := protocols.Illinois()
-	res, err := Exhaustive(p, 6, Options{Budget: runctl.Budget{MaxStates: 10}})
+	res, err := Exhaustive(p, 6, Options{RunConfig: runctl.RunConfig{Budget: runctl.Budget{MaxStates: 10}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,28 +136,28 @@ func TestParallelCancelMidLevel(t *testing.T) {
 			}
 		}
 		defer func() { testLevelHook = nil }()
-		res, err := ExhaustiveParallelContext(ctx, p, 5, Options{}, workers)
+		res, err := Run(ctx, p, 5, Options{RunConfig: runctl.RunConfig{Workers: workers}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
 
-	one := runCanceled(1)
+	two := runCanceled(2)
 	four := runCanceled(4)
-	if !one.Truncated || !errors.Is(one.StopReason, runctl.ErrCanceled) {
-		t.Fatalf("truncated=%v stop=%v, want truncated with ErrCanceled", one.Truncated, one.StopReason)
+	if !two.Truncated || !errors.Is(two.StopReason, runctl.ErrCanceled) {
+		t.Fatalf("truncated=%v stop=%v, want truncated with ErrCanceled", two.Truncated, two.StopReason)
 	}
 	// No half-merged level: the same levels were merged regardless of the
 	// worker count, so the partial counts agree exactly.
-	sameCounts(t, four, one, "workers=4 vs workers=1")
+	sameCounts(t, four, two, "workers=4 vs workers=2")
 
 	full, err := Exhaustive(p, 5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if one.Unique <= 1 || one.Unique >= full.Unique {
-		t.Fatalf("partial Unique = %d, want in (1, %d)", one.Unique, full.Unique)
+	if two.Unique <= 1 || two.Unique >= full.Unique {
+		t.Fatalf("partial Unique = %d, want in (1, %d)", two.Unique, full.Unique)
 	}
 }
 
@@ -250,7 +250,7 @@ func TestCheckpointResumeSequential(t *testing.T) {
 			cancel()
 		}
 	}
-	partial, err := ExhaustiveContext(ctx, p, 4, Options{CheckpointOnStop: true})
+	partial, err := Run(ctx, p, 4, Options{RunConfig: runctl.RunConfig{CheckpointOnStop: true}})
 	testItemHook = nil
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +259,7 @@ func TestCheckpointResumeSequential(t *testing.T) {
 		t.Fatal("CheckpointOnStop run carries no checkpoint")
 	}
 
-	resumed, err := ResumeContext(context.Background(), p, partial.Checkpoint, Options{})
+	resumed, err := Run(context.Background(), p, 0, Options{Resume: partial.Checkpoint})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,6 +271,11 @@ func TestCheckpointResumeSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameCounts(t, resumed, full, "resumed vs uninterrupted")
+	parRes, err := Run(context.Background(), p, 0, Options{Resume: partial.Checkpoint, RunConfig: runctl.RunConfig{Workers: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCounts(t, parRes, full, "sequential checkpoint resumed in parallel")
 }
 
 // TestCheckpointResumeParallel interrupts the parallel engine at a level
@@ -285,7 +290,7 @@ func TestCheckpointResumeParallel(t *testing.T) {
 			cancel()
 		}
 	}
-	partial, err := CountingParallelContext(ctx, p, 4, Options{CheckpointOnStop: true}, 4)
+	partial, err := Run(ctx, p, 4, Options{Mode: ModeCounting, RunConfig: runctl.RunConfig{CheckpointOnStop: true, Workers: 4}})
 	testLevelHook = nil
 	if err != nil {
 		t.Fatal(err)
@@ -301,12 +306,12 @@ func TestCheckpointResumeParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqRes, err := ResumeContext(context.Background(), p, partial.Checkpoint, Options{})
+	seqRes, err := Run(context.Background(), p, 0, Options{Resume: partial.Checkpoint})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameCounts(t, seqRes, full, "parallel checkpoint resumed sequentially")
-	parRes, err := ResumeParallelContext(context.Background(), p, partial.Checkpoint, Options{}, 3)
+	parRes, err := Run(context.Background(), p, 0, Options{Resume: partial.Checkpoint, RunConfig: runctl.RunConfig{Workers: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +325,7 @@ func TestPeriodicCheckpointResume(t *testing.T) {
 	var last *Checkpoint
 	count := 0
 	res, err := Exhaustive(p, 3, Options{
-		CheckpointEvery: 5,
+		RunConfig: runctl.RunConfig{CheckpointEvery: 5},
 		OnCheckpoint: func(cp *Checkpoint) error {
 			last = cp
 			count++
@@ -333,7 +338,7 @@ func TestPeriodicCheckpointResume(t *testing.T) {
 	if count == 0 || last == nil {
 		t.Fatal("periodic checkpoints never fired")
 	}
-	resumed, err := ResumeContext(context.Background(), p, last, Options{})
+	resumed, err := Run(context.Background(), p, 0, Options{Resume: last})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,8 +349,8 @@ func TestOnCheckpointErrorAborts(t *testing.T) {
 	p := protocols.Illinois()
 	boom := errors.New("sink failed")
 	_, err := Exhaustive(p, 3, Options{
-		CheckpointEvery: 1,
-		OnCheckpoint:    func(*Checkpoint) error { return boom },
+		RunConfig:    runctl.RunConfig{CheckpointEvery: 1},
+		OnCheckpoint: func(*Checkpoint) error { return boom },
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the sink error", err)
@@ -361,7 +366,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 			cancel()
 		}
 	}
-	partial, err := ExhaustiveContext(ctx, p, 3, Options{CheckpointOnStop: true})
+	partial, err := Run(ctx, p, 3, Options{RunConfig: runctl.RunConfig{CheckpointOnStop: true}})
 	testItemHook = nil
 	if err != nil {
 		t.Fatal(err)
@@ -397,7 +402,7 @@ func TestResumeValidation(t *testing.T) {
 			cancel()
 		}
 	}
-	partial, err := ExhaustiveContext(ctx, p, 3, Options{CheckpointOnStop: true})
+	partial, err := Run(ctx, p, 3, Options{RunConfig: runctl.RunConfig{CheckpointOnStop: true}})
 	testItemHook = nil
 	if err != nil {
 		t.Fatal(err)
@@ -426,10 +431,20 @@ func TestResumeValidation(t *testing.T) {
 				t.Fatal(err)
 			}
 			tc.mutate(cp)
-			if _, err := ResumeContext(context.Background(), p, cp, Options{}); err == nil {
+			if _, err := Run(context.Background(), p, 0, Options{Resume: cp}); err == nil {
 				t.Fatal("corrupted checkpoint was accepted")
 			}
 		})
+	}
+	// The checkpoint fixes n and the mode; a caller asking for others errs.
+	if _, err := Run(context.Background(), p, 4, Options{Resume: good}); err == nil {
+		t.Error("resume accepted a cache count that differs from the checkpoint")
+	}
+	if _, err := Run(context.Background(), p, 0, Options{Resume: good, Mode: ModeCounting}); err == nil {
+		t.Error("resume accepted a mode that differs from the checkpoint")
+	}
+	if _, err := Run(context.Background(), p, good.N, Options{Resume: good, Mode: good.Mode}); err != nil {
+		t.Errorf("resume with matching n and mode: %v", err)
 	}
 }
 

@@ -22,9 +22,10 @@ import (
 //
 // Only the parallel engine spills: it already batches dedup at level
 // boundaries, which is what makes one sequential pass per spill file
-// affordable. Sequential runs ignore SpillDir. Spilling requires the
-// packed key codec (the compact store); runs the codec cannot pack fall
-// back to in-memory maps and the plain memory budget.
+// affordable. Run therefore selects the parallel driver whenever
+// SpillDir is set, with one worker if Workers asks for no more. Spilling
+// requires the packed key codec (the compact store); runs the codec
+// cannot pack fall back to in-memory maps and the plain memory budget.
 
 // spillState tracks one run's spill files.
 type spillState struct {
@@ -44,16 +45,16 @@ type spillState struct {
 // and supported; it verifies the directory is writable up front so
 // misconfiguration fails the run at level 0, not mid-exploration.
 func (b *bfs) initSpill(frontier []*fsm.Config) error {
-	if b.rc.SpillDir == "" || b.rc.Budget.MaxBytes <= 0 {
+	if b.opts.SpillDir == "" || b.opts.Budget.MaxBytes <= 0 {
 		return nil
 	}
 	if _, ok := b.visited.(*compactStore); !ok {
 		return nil
 	}
-	if err := os.MkdirAll(b.rc.SpillDir, 0o755); err != nil {
+	if err := os.MkdirAll(b.opts.SpillDir, 0o755); err != nil {
 		return fmt.Errorf("enum: creating spill directory: %w", err)
 	}
-	if err := ckptio.PreflightDir(b.rc.SpillDir); err != nil {
+	if err := ckptio.PreflightDir(b.opts.SpillDir); err != nil {
 		return fmt.Errorf("enum: spill directory: %w", err)
 	}
 	// A budgeted run that failed or was killed leaves its spill files
@@ -64,15 +65,15 @@ func (b *bfs) initSpill(frontier []*fsm.Config) error {
 	// startup retention pass. A spill directory belongs to one run at a
 	// time — concurrent runs must use distinct directories, as the
 	// sequential file numbering would collide regardless of this sweep.
-	if swept, err := ckptio.SweepPrefix(b.rc.SpillDir, "spill-"); err != nil {
+	if swept, err := ckptio.SweepPrefix(b.opts.SpillDir, "spill-"); err != nil {
 		return fmt.Errorf("enum: sweeping stale spill files: %w", err)
 	} else if swept.Removed > 0 {
 		b.orun.Event("spill_stale_swept_total", int64(swept.Removed))
 		b.orun.Event("spill_stale_swept_bytes_total", swept.FreedBytes)
 	}
 	b.spill = &spillState{
-		dir:       b.rc.SpillDir,
-		threshold: b.rc.Budget.MaxBytes - b.rc.Budget.MaxBytes/4,
+		dir:       b.opts.SpillDir,
+		threshold: b.opts.Budget.MaxBytes - b.opts.Budget.MaxBytes/4,
 	}
 	// Rank lookups for provenance cannot read spilled entries, so the
 	// current frontier's ranks are pinned in memory across levels (the

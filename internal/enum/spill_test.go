@@ -137,6 +137,20 @@ func TestSpillEnumerationBitIdentical(t *testing.T) {
 	if spilled.Truncated {
 		t.Fatalf("spilling run truncated: %v", spilled.StopReason)
 	}
+	// SpillDir alone selects the parallel driver, which owns spilling: a
+	// one-worker run spills too and reaches the same result.
+	dir1 := t.TempDir()
+	one, err := Run(context.Background(), p, n, Options{
+		Strict:    true,
+		RunConfig: runctl.RunConfig{Budget: budget, SpillDir: dir1, Workers: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := spillFileCount(t, dir1, "spill-visited-"); got == 0 || one.Truncated {
+		t.Fatalf("one-worker spill run wrote %d spill files, truncated=%t", got, one.Truncated)
+	}
+	sameCounts(t, one, ref, "one-worker spill run vs in-memory run")
 	if got := spillFileCount(t, dir, "spill-visited-"); got == 0 {
 		t.Fatal("run completed without writing any spill files; the budget no longer forces out-of-core operation")
 	}
@@ -204,9 +218,10 @@ func TestSpillCheckpointResumeAtBoundary(t *testing.T) {
 	// Resume out-of-core in a fresh directory; the original spill files
 	// are not consulted.
 	dir2 := t.TempDir()
-	resumed, err := ResumeParallelContext(context.Background(), p, cp, Options{
-		RunConfig: runctl.RunConfig{Budget: budget, SpillDir: dir2},
-	}, 4)
+	resumed, err := Run(context.Background(), p, 0, Options{
+		Resume:    cp,
+		RunConfig: runctl.RunConfig{Budget: budget, SpillDir: dir2, Workers: 4},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

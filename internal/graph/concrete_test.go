@@ -23,13 +23,7 @@ func TestConcreteMatchesEnumCensus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", p.Name, mode, err)
 			}
-			opts := enum.Options{KeepReachable: true}
-			var res *enum.Result
-			if mode == enum.ModeCounting {
-				res, err = enum.CountingContext(context.Background(), p, n, opts)
-			} else {
-				res, err = enum.ExhaustiveContext(context.Background(), p, n, opts)
-			}
+			res, err := enum.Run(context.Background(), p, n, enum.Options{KeepReachable: true, Mode: mode})
 			if err != nil {
 				t.Fatalf("%s %s: %v", p.Name, mode, err)
 			}

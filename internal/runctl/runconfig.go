@@ -30,9 +30,10 @@ type RunConfig struct {
 	// differ).
 	CheckpointEvery int
 
-	// Workers is the default parallelism for engines with a parallel mode:
-	// it is used when the caller passes workers <= 0 to the *Parallel*
-	// entry points (0 here means GOMAXPROCS, matching their contract).
+	// Workers picks the driver of enum.Run and symbolic.Engine.Run: a
+	// value above 1 runs the engine's parallel driver with that many
+	// workers, and 0 or 1 runs its sequential loop. Both drivers produce
+	// bit-identical results.
 	Workers int
 
 	// SpillDir, when set together with Budget.MaxBytes, lets engines with
@@ -41,7 +42,8 @@ type RunConfig struct {
 	// resident bytes approach the budget, instead of stopping with
 	// ErrMemBudget. Spilled entries are streamed back for deduplication at
 	// level boundaries, so results stay bit-identical to an in-memory run.
-	// Engines without spill support ignore it.
+	// Setting it makes enum.Run use its parallel driver, which owns
+	// spilling, even at Workers 0 or 1. The symbolic engine ignores it.
 	SpillDir string
 
 	// Observer receives phase/level/event callbacks during the run; nil

@@ -100,7 +100,7 @@ func buildJobGraph(ctx context.Context, j *Job, format string) ([]byte, error) {
 			Strict:    j.opts.Strict,
 			MaxVisits: j.opts.MaxStates,
 		}
-		res, err := eng.ExpandContext(ctx, sopts)
+		res, err := eng.Run(ctx, sopts)
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,6 @@
 package symbolic
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -277,22 +276,11 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	return DecodeCheckpoint(data)
 }
 
-// ResumeContext continues an interrupted expansion from a checkpoint. The
-// run's strictness and pruning variant come from the checkpoint; budgets
-// and checkpoint options come from opts. An uninterrupted run and an
-// interrupted-then-resumed run produce identical Essential lists and
-// counters.
-func (e *Engine) ResumeContext(ctx context.Context, cp *Checkpoint, opts Options) (*Result, error) {
-	x, err := e.resumeExpander(cp, opts)
-	if err != nil {
-		return nil, err
-	}
-	return x.run(ctx)
-}
-
-// resumeExpander rebuilds the expander state from a checkpoint, shared
-// by the sequential and parallel resume entry points.
-func (e *Engine) resumeExpander(cp *Checkpoint, opts Options) (*expander, error) {
+// resumeExpander rebuilds the expander state from opts.Resume. The run's
+// strictness and pruning variant come from the checkpoint; budgets and
+// checkpoint options come from opts.
+func (e *Engine) resumeExpander(opts Options) (*expander, error) {
+	cp := opts.Resume
 	if cp.Version != CheckpointVersion {
 		return nil, fmt.Errorf("symbolic: unsupported checkpoint version %d (this build reads version %d; checkpoints from older builds cannot be resumed — re-run the expansion)", cp.Version, CheckpointVersion)
 	}
@@ -302,6 +290,7 @@ func (e *Engine) resumeExpander(cp *Checkpoint, opts Options) (*expander, error)
 	opts.Strict = cp.Strict
 	opts.NoContainment = cp.NoContainment
 	x := newExpander(e, opts)
+	x.opts.Resume = nil // the restored state replaces it; don't pin it for the run
 	x.res.Visits = cp.Visits
 	x.res.Expansions = cp.Expansions
 	x.res.Superseded = cp.Superseded

@@ -20,9 +20,8 @@ import (
 // The budgets are checked at worklist-item boundaries, so a stopped run
 // ends between expansions and its partial Result (and checkpoint) covers
 // whole expansion steps only; the exact MaxVisits cap, by contrast, may
-// stop mid-step. RunConfig.Workers is the default worker count of the
-// parallel entry points (ExpandParallel and friends); the sequential
-// Expand ignores it.
+// stop mid-step. RunConfig.Workers > 1 selects the parallel speculation
+// driver (see Engine.Run).
 type Options struct {
 	runctl.RunConfig
 
@@ -53,39 +52,11 @@ type Options struct {
 	// engine-specific.
 	OnCheckpoint func(*Checkpoint) error
 
-	// Budget bounds the run.
-	//
-	// Deprecated: set RunConfig.Budget instead. This alias shadows the
-	// embedded field, is honored when non-zero, and will be removed in the
-	// next release.
-	Budget runctl.Budget
-	// CheckpointOnStop captures a resumable snapshot into Result.Checkpoint
-	// when the run is stopped early.
-	//
-	// Deprecated: set RunConfig.CheckpointOnStop instead. Honored when
-	// true; removed in the next release.
-	CheckpointOnStop bool
-	// CheckpointEvery is the periodic snapshot cadence.
-	//
-	// Deprecated: set RunConfig.CheckpointEvery instead. Honored when
-	// positive; removed in the next release.
-	CheckpointEvery int
-}
-
-// runCtl resolves the effective run configuration: the embedded RunConfig,
-// overridden by any of the deprecated top-level aliases that are set.
-func (o Options) runCtl() runctl.RunConfig {
-	rc := o.RunConfig
-	if o.Budget != (runctl.Budget{}) {
-		rc.Budget = o.Budget
-	}
-	if o.CheckpointOnStop {
-		rc.CheckpointOnStop = true
-	}
-	if o.CheckpointEvery > 0 {
-		rc.CheckpointEvery = o.CheckpointEvery
-	}
-	return rc
+	// Resume, when set, continues the interrupted expansion this
+	// checkpoint captured. Strict and NoContainment come from the
+	// checkpoint; budgets and the checkpoint options still come from these
+	// Options.
+	Resume *Checkpoint
 }
 
 const defaultMaxVisits = 100000
@@ -213,47 +184,57 @@ func Expand(p *fsm.Protocol, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.Expand(opts), nil
+	return e.Run(context.Background(), opts)
 }
 
-// ExpandContext is Expand under a context: cancellation, deadlines and the
-// budgets stop the run at the next worklist item, returning the partial
-// Result with a structured StopReason. The only error condition besides
-// engine construction is a failing OnCheckpoint sink.
-func ExpandContext(ctx context.Context, p *fsm.Protocol, opts Options) (*Result, error) {
-	e, err := NewEngine(p)
-	if err != nil {
-		return nil, err
-	}
-	return e.ExpandContext(ctx, opts)
-}
-
-// Expand runs the essential-states generation algorithm of Figure 3.
+// Expand runs the essential-states generation algorithm of Figure 3; it is
+// Run without a context, for callers that set neither Resume nor a
+// failing OnCheckpoint (the only error sources).
 func (e *Engine) Expand(opts Options) *Result {
-	res, _ := e.ExpandContext(context.Background(), opts)
+	res, _ := e.Run(context.Background(), opts)
 	return res
 }
 
-// ExpandContext runs Figure 3 under a context with budget enforcement.
-func (e *Engine) ExpandContext(ctx context.Context, opts Options) (*Result, error) {
-	x := e.startExpander(opts)
-	if x.done {
+// Run is the one entry point of the symbolic engine: the Figure 3
+// expansion, started from the initial composite state or continued from
+// opts.Resume. Cancellation, deadlines and the budgets stop the run at the
+// next worklist item, returning the partial Result with a structured
+// StopReason. The only error conditions are an invalid checkpoint and a
+// failing OnCheckpoint sink.
+//
+// RunConfig.Workers > 1 selects the parallel speculation pipeline with
+// that many workers; otherwise the sequential loop runs. Both drivers
+// produce bit-identical Results and checkpoints, and either resumes the
+// other's.
+func (e *Engine) Run(ctx context.Context, opts Options) (*Result, error) {
+	var x *expander
+	if opts.Resume != nil {
+		var err error
+		if x, err = e.resumeExpander(opts); err != nil {
+			return nil, err
+		}
+	} else if x = e.startExpander(opts); x.done {
 		return x.res, nil
+	}
+	if opts.Workers > 1 {
+		return x.runPar(ctx, opts.Workers)
 	}
 	return x.run(ctx)
 }
 
 // expander is the resumable state of one Figure 3 run: the working list W,
 // the history list H, and the bookkeeping maps. It is built fresh by
-// ExpandContext and rebuilt from a Checkpoint by ResumeContext, so an
+// startExpander and rebuilt from a Checkpoint by resumeExpander, so an
 // interrupted-then-resumed run walks exactly the states an uninterrupted
 // run would.
 type expander struct {
 	e         *Engine
 	opts      Options
-	rc        runctl.RunConfig // resolved run control (see Options.runCtl)
-	orun      *obs.Run         // nil when unobserved: the allocation-free fast path
+	orun      *obs.Run // nil when unobserved: the allocation-free fast path
 	maxVisits int
+	// done reports that the run ended at the initial state
+	// (initial-state violation under StopOnViolation).
+	done bool
 
 	work     []*CState
 	hist     []*CState
@@ -279,10 +260,9 @@ func newExpander(e *Engine, opts Options) *expander {
 	if maxVisits <= 0 {
 		maxVisits = defaultMaxVisits
 	}
-	rc := opts.runCtl()
 	x := &expander{
-		e: e, opts: opts, rc: rc, maxVisits: maxVisits,
-		orun:     rc.Sink().Run("symbolic", e.p.Name),
+		e: e, opts: opts, maxVisits: maxVisits,
+		orun:     opts.Sink().Run("symbolic", e.p.Name),
 		parents:  map[string]parentInfo{},
 		reported: map[string]bool{},
 		seenKeys: map[string]struct{}{},
@@ -292,6 +272,26 @@ func newExpander(e *Engine, opts Options) *expander {
 		x.workIx = newCIndex()
 		x.histIx = newCIndex()
 	}
+	return x
+}
+
+// startExpander builds a fresh expander seeded with the initial state.
+// Its done flag reports that the run already ended (initial-state
+// violation under StopOnViolation).
+func (e *Engine) startExpander(opts Options) *expander {
+	x := newExpander(e, opts)
+	init := e.Initial()
+	x.parents[init.Key()] = parentInfo{}
+	x.seenKeys[init.Key()] = struct{}{}
+	if v := e.Check(init, opts.Strict); len(v) > 0 {
+		x.res.Violations = append(x.res.Violations, StateViolation{State: init, Violations: v})
+		x.orun.Event(obs.MetricViolations, 1)
+		if opts.StopOnViolation {
+			x.done = true
+			return x
+		}
+	}
+	x.pushWork(init)
 	return x
 }
 
@@ -376,13 +376,13 @@ func (x *expander) stopCheck(ctx context.Context) error {
 	if err := runctl.FromContext(ctx); err != nil {
 		return err
 	}
-	if err := x.rc.Budget.CheckDeadline(time.Now()); err != nil {
+	if err := x.opts.Budget.CheckDeadline(time.Now()); err != nil {
 		return err
 	}
-	if err := x.rc.Budget.CheckStates(len(x.parents)); err != nil {
+	if err := x.opts.Budget.CheckStates(len(x.parents)); err != nil {
 		return err
 	}
-	return x.rc.Budget.CheckMem(x.estBytes())
+	return x.opts.Budget.CheckMem(x.estBytes())
 }
 
 // stop finalizes an early stop at a worklist boundary.
@@ -391,13 +391,13 @@ func (x *expander) stop(reason error) {
 	x.res.Truncated = true
 	x.res.Essential = x.hist
 	x.res.EstBytes = x.estBytes()
-	if x.rc.CheckpointOnStop {
+	if x.opts.CheckpointOnStop {
 		x.res.Checkpoint = x.snapshot()
 	}
 }
 
 func (x *expander) maybeCheckpoint() error {
-	if x.opts.OnCheckpoint == nil || x.rc.CheckpointEvery <= 0 || x.sinceCp < x.rc.CheckpointEvery {
+	if x.opts.OnCheckpoint == nil || x.opts.CheckpointEvery <= 0 || x.sinceCp < x.opts.CheckpointEvery {
 		return nil
 	}
 	x.sinceCp = 0

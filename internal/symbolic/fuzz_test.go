@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/protocols"
+	"repro/internal/runctl"
 )
 
 // captureSymbolicCheckpoint interrupts a real expansion at its first
@@ -17,8 +18,8 @@ func captureSymbolicCheckpoint(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	var captured []byte
-	_, _ = ExpandContext(context.Background(), p, Options{
-		CheckpointEvery: 1,
+	_, _ = Expand(p, Options{
+		RunConfig: runctl.RunConfig{CheckpointEvery: 1},
 		OnCheckpoint: func(cp *Checkpoint) error {
 			captured, err = cp.Encode()
 			if err != nil {
@@ -34,7 +35,7 @@ func captureSymbolicCheckpoint(t testing.TB) []byte {
 }
 
 // FuzzDecodeCheckpoint hardens the symbolic resume path: arbitrary bytes
-// fed to DecodeCheckpoint and then to ResumeContext must produce errors,
+// fed to DecodeCheckpoint and then to a resuming Engine.Run must produce errors,
 // never panics — malformed JSON, wrong versions, out-of-range state-table
 // indices and inconsistent class shapes included.
 func FuzzDecodeCheckpoint(f *testing.F) {
@@ -71,6 +72,6 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		if cp.Version != CheckpointVersion {
 			t.Fatalf("decoder accepted version %d", cp.Version)
 		}
-		_, _ = eng.ResumeContext(canceled, cp, Options{})
+		_, _ = eng.Run(canceled, Options{Resume: cp})
 	})
 }

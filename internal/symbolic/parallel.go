@@ -3,7 +3,6 @@ package symbolic
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sync"
 
@@ -303,78 +302,10 @@ func (x *expander) runPar(ctx context.Context, workers int) (*Result, error) {
 	return x.res, nil
 }
 
-// resolveWorkers picks the worker count: the explicit argument, then the
-// run configuration, then GOMAXPROCS.
-func (x *expander) resolveWorkers(workers int) int {
-	if workers <= 0 {
-		workers = x.rc.Workers
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return workers
-}
-
-// ExpandParallel runs the essential-states expansion with speculative
-// parallel event precomputation across workers goroutines. The results
-// are bit-identical to Expand; only the wall-clock changes. workers ≤ 0
-// selects RunConfig.Workers, then GOMAXPROCS.
+// ExpandParallel is Expand with RunConfig.Workers set to workers, so
+// workers > 1 selects the speculation pipeline (see Engine.Run and
+// runPar); the results are bit-identical either way.
 func ExpandParallel(p *fsm.Protocol, opts Options, workers int) (*Result, error) {
-	return ExpandParallelContext(context.Background(), p, opts, workers)
-}
-
-// ExpandParallelContext is ExpandParallel under a context: cancellation,
-// deadlines and the budgets stop the run at the next worklist item,
-// exactly like ExpandContext.
-func ExpandParallelContext(ctx context.Context, p *fsm.Protocol, opts Options, workers int) (*Result, error) {
-	e, err := NewEngine(p)
-	if err != nil {
-		return nil, err
-	}
-	return e.ExpandParallelContext(ctx, opts, workers)
-}
-
-// ExpandParallelContext runs Figure 3 with speculative parallel event
-// precomputation, bit-identical to ExpandContext.
-func (e *Engine) ExpandParallelContext(ctx context.Context, opts Options, workers int) (*Result, error) {
-	x := e.startExpander(opts)
-	if x.done {
-		return x.res, nil
-	}
-	return x.runPar(ctx, x.resolveWorkers(workers))
-}
-
-// ResumeParallelContext continues an interrupted expansion from a
-// checkpoint with the parallel driver. Checkpoints from either driver
-// are accepted and resume to identical results.
-func (e *Engine) ResumeParallelContext(ctx context.Context, cp *Checkpoint, opts Options, workers int) (*Result, error) {
-	x, err := e.resumeExpander(cp, opts)
-	if err != nil {
-		return nil, err
-	}
-	return x.runPar(ctx, x.resolveWorkers(workers))
-}
-
-// startExpander builds a fresh expander seeded with the initial state,
-// shared by the sequential and parallel entry points. done reports that
-// the run already ended (initial-state violation under StopOnViolation).
-type startedExpander struct {
-	*expander
-	done bool
-}
-
-func (e *Engine) startExpander(opts Options) startedExpander {
-	x := newExpander(e, opts)
-	init := e.Initial()
-	x.parents[init.Key()] = parentInfo{}
-	x.seenKeys[init.Key()] = struct{}{}
-	if v := e.Check(init, opts.Strict); len(v) > 0 {
-		x.res.Violations = append(x.res.Violations, StateViolation{State: init, Violations: v})
-		x.orun.Event(obs.MetricViolations, 1)
-		if opts.StopOnViolation {
-			return startedExpander{x, true}
-		}
-	}
-	x.pushWork(init)
-	return startedExpander{x, false}
+	opts.Workers = workers
+	return Expand(p, opts)
 }

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/protocols"
 	"repro/internal/randproto"
+	"repro/internal/runctl"
 )
 
 // symSignature flattens everything a symbolic Result asserts about the
@@ -47,7 +49,7 @@ func symSignature(r *Result) string {
 func TestParallelExpandMatchesSequential(t *testing.T) {
 	for _, p := range protocols.All() {
 		opts := Options{Strict: true, RecordLog: true}
-		seq, err := ExpandContext(context.Background(), p, opts)
+		seq, err := Expand(p, opts)
 		if err != nil {
 			t.Fatalf("%s: sequential: %v", p.Name, err)
 		}
@@ -68,6 +70,41 @@ func TestParallelExpandMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestRunPicksDriver pins Engine.Run's driver choice through the
+// speculation workers' test hook: Workers 0 or 1 runs the sequential loop
+// (no speculation job) and Workers 2 the parallel pipeline, with
+// bit-identical results.
+func TestRunPicksDriver(t *testing.T) {
+	p, err := protocols.Synthetic(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := symSignature(e.Expand(Options{}))
+	var jobs atomic.Int64
+	testWorkerHook = func(job, worker int) { jobs.Add(1) }
+	defer func() { testWorkerHook = nil }()
+	for _, tc := range []struct {
+		workers  int
+		parallel bool
+	}{{0, false}, {1, false}, {2, true}} {
+		jobs.Store(0)
+		res, err := e.Run(context.Background(), Options{RunConfig: runctl.RunConfig{Workers: tc.workers}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := jobs.Load() > 0; got != tc.parallel {
+			t.Errorf("workers=%d: %d speculation jobs, want parallel=%t", tc.workers, jobs.Load(), tc.parallel)
+		}
+		if got := symSignature(res); got != want {
+			t.Errorf("workers=%d: result diverges from Expand\ngot: %s\nwant: %s", tc.workers, got, want)
+		}
+	}
+}
+
 // TestParallelExpandRandprotoSweep extends the parity property to random
 // well-formed protocols, including ill-behaved ones whose expansions
 // produce violations and spec errors, in both pruning variants.
@@ -77,7 +114,7 @@ func TestParallelExpandRandprotoSweep(t *testing.T) {
 		p := randproto.New(rng, 1+rng.Intn(4))
 		for _, noContain := range []bool{false, true} {
 			opts := Options{Strict: true, RecordLog: true, NoContainment: noContain}
-			seq, err := ExpandContext(context.Background(), p, opts)
+			seq, err := Expand(p, opts)
 			if err != nil {
 				t.Fatalf("seed %d: sequential: %v", seed, err)
 			}
@@ -104,7 +141,7 @@ func TestParallelWorkerPanicRecovered(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Strict: true, RecordLog: true}
-	seq, err := ExpandContext(context.Background(), p, opts)
+	seq, err := Expand(p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +207,7 @@ func TestParallelResumeRoundTrip(t *testing.T) {
 		return sb.String()
 	}
 
-	full, err := e.ExpandContext(context.Background(), Options{Strict: true})
+	full, err := e.Run(context.Background(), Options{Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,12 +223,10 @@ func TestParallelResumeRoundTrip(t *testing.T) {
 			cp = c
 			return stop
 		}
-		var err error
 		if parallel {
-			_, err = e.ExpandParallelContext(context.Background(), opts, 4)
-		} else {
-			_, err = e.ExpandContext(context.Background(), opts)
+			opts.Workers = 4
 		}
+		_, err := e.Run(context.Background(), opts)
 		if err != stop {
 			t.Fatalf("interrupted run (parallel=%t) ended with %v, want the injected stop", parallel, err)
 		}
@@ -202,7 +237,7 @@ func TestParallelResumeRoundTrip(t *testing.T) {
 	}
 
 	// Sequential checkpoint → parallel resume.
-	res, err := e.ResumeParallelContext(context.Background(), capture(false), Options{}, 4)
+	res, err := e.Run(context.Background(), Options{Resume: capture(false), RunConfig: runctl.RunConfig{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +246,7 @@ func TestParallelResumeRoundTrip(t *testing.T) {
 	}
 
 	// Parallel checkpoint → sequential resume.
-	res, err = e.ResumeContext(context.Background(), capture(true), Options{})
+	res, err = e.Run(context.Background(), Options{Resume: capture(true)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,11 +34,15 @@ func sameRun(t *testing.T, got, want *Result, label string) {
 	}
 }
 
-func TestExpandContextCancel(t *testing.T) {
+func TestRunCancel(t *testing.T) {
 	p := protocols.Illinois()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := ExpandContext(ctx, p, Options{})
+	e, err := NewEngine(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(ctx, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,10 +51,10 @@ func TestExpandContextCancel(t *testing.T) {
 	}
 }
 
-func TestExpandContextDeadline(t *testing.T) {
+func TestRunDeadline(t *testing.T) {
 	p := protocols.Illinois()
-	res, err := ExpandContext(context.Background(), p, Options{
-		Budget: runctl.Budget{Deadline: time.Now().Add(-time.Second)},
+	res, err := Expand(p, Options{
+		RunConfig: runctl.RunConfig{Budget: runctl.Budget{Deadline: time.Now().Add(-time.Second)}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -66,8 +70,8 @@ func TestExpandStateBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ExpandContext(context.Background(), p, Options{
-		Budget: runctl.Budget{MaxStates: 3},
+	res, err := Expand(p, Options{
+		RunConfig: runctl.RunConfig{Budget: runctl.Budget{MaxStates: 3}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,8 +86,8 @@ func TestExpandStateBudget(t *testing.T) {
 
 func TestExpandMemBudget(t *testing.T) {
 	p := protocols.Illinois()
-	res, err := ExpandContext(context.Background(), p, Options{
-		Budget: runctl.Budget{MaxBytes: 1},
+	res, err := Expand(p, Options{
+		RunConfig: runctl.RunConfig{Budget: runctl.Budget{MaxBytes: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -124,9 +128,8 @@ func TestSymbolicCheckpointResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			partial, err := ExpandContext(context.Background(), p, Options{
-				Budget:           runctl.Budget{MaxStates: 4},
-				CheckpointOnStop: true,
+			partial, err := Expand(p, Options{
+				RunConfig: runctl.RunConfig{Budget: runctl.Budget{MaxStates: 4}, CheckpointOnStop: true},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -150,7 +153,7 @@ func TestSymbolicCheckpointResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resumed, err := e.ResumeContext(context.Background(), cp, Options{})
+			resumed, err := e.Run(context.Background(), Options{Resume: cp})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,8 +169,8 @@ func TestSymbolicPeriodicCheckpoint(t *testing.T) {
 	p := protocols.Illinois()
 	var last *Checkpoint
 	count := 0
-	full, err := ExpandContext(context.Background(), p, Options{
-		CheckpointEvery: 2,
+	full, err := Expand(p, Options{
+		RunConfig: runctl.RunConfig{CheckpointEvery: 2},
 		OnCheckpoint: func(cp *Checkpoint) error {
 			last = cp
 			count++
@@ -184,7 +187,7 @@ func TestSymbolicPeriodicCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := e.ResumeContext(context.Background(), last, Options{})
+	resumed, err := e.Run(context.Background(), Options{Resume: last})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,9 +196,8 @@ func TestSymbolicPeriodicCheckpoint(t *testing.T) {
 
 func TestSymbolicResumeValidation(t *testing.T) {
 	p := protocols.Illinois()
-	partial, err := ExpandContext(context.Background(), p, Options{
-		Budget:           runctl.Budget{MaxStates: 4},
-		CheckpointOnStop: true,
+	partial, err := Expand(p, Options{
+		RunConfig: runctl.RunConfig{Budget: runctl.Budget{MaxStates: 4}, CheckpointOnStop: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +229,7 @@ func TestSymbolicResumeValidation(t *testing.T) {
 				t.Fatal(err)
 			}
 			tc.mutate(cp)
-			if _, err := e.ResumeContext(context.Background(), cp, Options{}); err == nil {
+			if _, err := e.Run(context.Background(), Options{Resume: cp}); err == nil {
 				t.Fatal("corrupted checkpoint was accepted")
 			}
 		})

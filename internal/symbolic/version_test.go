@@ -15,9 +15,8 @@ import (
 // of misreading the old format.
 func TestOldCheckpointVersionRejected(t *testing.T) {
 	p := protocols.Illinois()
-	partial, err := ExpandContext(context.Background(), p, Options{
-		Budget:           runctl.Budget{MaxStates: 4},
-		CheckpointOnStop: true,
+	partial, err := Expand(p, Options{
+		RunConfig: runctl.RunConfig{Budget: runctl.Budget{MaxStates: 4}, CheckpointOnStop: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +32,7 @@ func TestOldCheckpointVersionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.ResumeContext(context.Background(), &cp, Options{}); err == nil {
+	if _, err := e.Run(context.Background(), Options{Resume: &cp}); err == nil {
 		t.Fatal("resume accepted a version-1 checkpoint")
 	} else if !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 2") {
 		t.Fatalf("resume error must name both versions, got: %v", err)
