@@ -445,10 +445,12 @@ func (b *bfs) finish() {
 // admit merges one generated successor in the sequential engine: dedup,
 // then the shared commit bookkeeping. It appends newly admitted states to
 // *next and reports true when the run must end now (StopOnViolation or
-// state budget). Duplicates return their configuration to the pool.
+// state budget). A visit-only item is a duplicate expandOne already
+// recognized; a materialized duplicate returns its configuration to the
+// pool.
 func (b *bfs) admit(it succItem, next *[]*fsm.Config) bool {
 	b.res.Visits++
-	if b.visited.has(it.key) {
+	if it.cfg == nil || b.visited.has(it.key) {
 		b.dups++
 		releaseConfig(it.cfg)
 		return false
@@ -496,10 +498,8 @@ func (b *bfs) commit(it succItem, viol []fsm.Violation, next *[]*fsm.Config) boo
 	if b.nextRanks != nil {
 		b.nextRanks[it.key] = rank
 	}
-	if !it.tupleDup {
-		if tk := b.kc.tupleKey(it.cfg); !b.tuples.has(tk) {
-			b.tuples.insert(tk)
-		}
+	if !it.tupleDup && !b.tuples.has(it.tuple) {
+		b.tuples.insert(it.tuple)
 	}
 	if len(viol) > 0 {
 		b.res.Violations = append(b.res.Violations, Violation{
@@ -565,7 +565,7 @@ func (b *bfs) runSeq(ctx context.Context, queue []*fsm.Config) (*Result, error) 
 		queue = queue[1:]
 		out.items = out.items[:0]
 		out.specErrs = out.specErrs[:0]
-		expandOne(b.kc, b.symmetric, cur, &out)
+		expandOne(b.kc, b.symmetric, b.visited, cur, &out)
 		b.res.SpecErrors = append(b.res.SpecErrors, out.specErrs...)
 		if len(out.specErrs) > 0 {
 			b.orun.Event("spec_errors_total", int64(len(out.specErrs)))

@@ -13,27 +13,33 @@ import (
 
 // This file is the state-identity layer of the explicit-state engines.
 //
-// The mⁿ spaces of Section 3.1 make the per-successor cost of computing a
-// visited-set key the dominant term of an enumeration run. The original
-// implementation keyed every successor by a freshly built string
-// (fmt.Sprintf per cache, plus a string sort for counting equivalence);
-// this file replaces it with an allocation-free packed encoding: after
-// Canonicalize, every cache is exactly one byte (state index in the high
-// six bits, the 3-value abstract data domain of Definition 4 in the low
-// two), and a whole configuration is a fixed-width comparable value usable
-// directly as a map key. Counting equivalence (Definition 5) becomes an
-// in-place byte sort instead of a string sort.
+// The mⁿ spaces of Section 3.1 make the per-successor cost of "have I seen
+// this global state?" the dominant term of an enumeration run, and most
+// successors (about 95% on the large strict runs) are duplicates. So a
+// successor is keyed straight from the compiled configuration the step
+// produced (compile.Config: int32 state indices and raw versions), with no
+// name lookup and no allocation, and a duplicate is dropped before it is
+// ever decoded back to a named fsm.Config. In the packed encoding every
+// cache is exactly one byte (state index in the high six bits, the 3-value
+// abstract data domain of Definition 4 in the low two), followed by one
+// byte for the memory's data class and the packed marker; a whole
+// configuration is a fixed-width comparable value whose first n+1 bytes
+// are also its visited-set key. Data classes are taken relative to the
+// configuration's Latest version, exactly as Canonicalize renames them, so
+// keying before canonicalization is sound. Counting equivalence
+// (Definition 5) becomes an in-place byte sort.
 //
 // Packing applies when the protocol has at most maxPackedStates states and
 // the run has at most maxPackedCaches caches; beyond that the codec falls
 // back transparently to the legacy canonical strings, so results never
-// depend on which representation a run used.
+// depend on which representation a run used. State names appear only where
+// keys are rendered (checkpoints, witnesses) or parsed back on resume.
 
 const (
 	// maxPackedCaches is the largest cache count the packed encoding can
-	// hold: one byte per cache, with the final byte reserved for the memory
-	// data class and the packed marker.
-	maxPackedCaches = 31
+	// hold: one byte per cache plus the byte after them, reserved for the
+	// memory data class and the packed marker.
+	maxPackedCaches = 63
 	// maxPackedStates is the largest per-cache state count encodable in the
 	// six high bits of a packed byte.
 	maxPackedStates = 63
@@ -54,21 +60,23 @@ const (
 
 // Key is the comparable identity of a canonical configuration under one
 // equivalence mode. In packed mode the identity lives entirely in the
-// fixed-width byte array and building a Key allocates nothing; in fallback
-// mode (very large protocols or cache counts) the identity is the legacy
-// canonical string. The zero Key is reserved as the "no parent" sentinel of
-// the provenance map.
+// fixed-width byte array — n cache bytes, then the reserved byte, then
+// zeros — and building a Key allocates nothing; in fallback mode (very
+// large protocols or cache counts) the identity is the legacy canonical
+// string. The zero Key is reserved as the "no parent" sentinel of the
+// provenance map.
 type Key struct {
-	packed [32]byte
+	packed [maxPackedCaches + 1]byte
 	str    string
 }
 
 // isZero reports whether k is the zero sentinel.
 func (k Key) isZero() bool { return k == Key{} }
 
-// hash folds the key into a shard selector (FNV-1a). It only needs to
-// distribute well; it is not part of the key's identity.
-func (k Key) hash() uint64 {
+// hash folds a key of an n-cache run into a shard selector (FNV-1a over
+// the n+1 bytes a packed key uses). It only needs to distribute well; it
+// is not part of the key's identity.
+func (k Key) hash(n int) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -81,7 +89,7 @@ func (k Key) hash() uint64 {
 		}
 		return h
 	}
-	for _, b := range k.packed {
+	for _, b := range k.packed[:min(n+1, len(k.packed))] {
 		h ^= uint64(b)
 		h *= prime64
 	}
@@ -98,10 +106,14 @@ type keyCodec struct {
 	packed bool
 	// cp is the compiled protocol expandOne steps through: the run's one
 	// lowering, shared by the sequential loop and every parallel worker.
-	cp     *compile.Protocol
-	// index maps a state to its packed byte prefix (index << 2).
-	index map[fsm.State]byte
+	cp *compile.Protocol
 }
+
+// testForceStringKeys, when set by tests, makes every codec fall back to
+// the legacy canonical strings (and so every run to the map-backed store),
+// so the packed path can be checked against the string path on identical
+// inputs.
+var testForceStringKeys = false
 
 func newKeyCodec(p *fsm.Protocol, n int, mode string) *keyCodec {
 	kc := &keyCodec{p: p, n: n, mode: mode}
@@ -113,30 +125,24 @@ func newKeyCodec(p *fsm.Protocol, n int, mode string) *keyCodec {
 		panic(fmt.Sprintf("enum: compiling validated protocol %s: %v", p.Name, err))
 	}
 	kc.cp = cp
-	kc.packed = n >= 1 && n <= maxPackedCaches && p.NumStates() <= maxPackedStates
-	if kc.packed {
-		kc.index = make(map[fsm.State]byte, p.NumStates())
-		for i, s := range p.States {
-			kc.index[s] = byte(i) << 2
-		}
-	}
+	kc.packed = n >= 1 && n <= maxPackedCaches && p.NumStates() <= maxPackedStates && !testForceStringKeys
 	return kc
 }
 
-// class maps a canonical version number to its packed data class. The
-// engines only key canonicalized configurations, for which v is one of
-// {NoData, Latest, canonObsolete}; any other stale version classifies as
-// obsolete exactly like Canonicalize would.
+// class maps a version to its packed data class relative to the latest
+// version: for a canonicalized configuration v is one of {NoData, Latest,
+// canonObsolete}, and for a raw one every version other than NoData and
+// Latest classifies as obsolete, exactly like Canonicalize renames it.
+//
+// It is branch-free: the data classes of successive caches are
+// unpredictable, and branches on them mispredict on the key hot path.
+// fresh is 1 + 0 and obsolete 1 + 1, zeroed for NoData.
 func class(v, latest int64) byte {
-	switch {
-	case v == fsm.NoData:
-		return classNone
-	case v == latest:
-		return classFresh
-	default:
-		return classObsolete
-	}
+	return byte((1 + nonZero(v^latest)) * nonZero(v^fsm.NoData))
 }
+
+// nonZero is 1 for x != 0 and 0 for x == 0, without a branch.
+func nonZero(x int64) uint64 { return uint64(x|-x) >> 63 }
 
 // classVersion is the inverse of class over the canonical domain.
 func classVersion(c byte) int64 {
@@ -150,9 +156,35 @@ func classVersion(c byte) int64 {
 	}
 }
 
-// key returns the equivalence-class key of a canonicalized configuration:
-// strict tuple identity (Section 3.1) for ModeStrict, multiset identity
-// (Definition 5) for ModeCounting.
+// compiledKey sets *k to the equivalence-class key of a compiled
+// configuration, canonicalized or not: strict tuple identity (Section 3.1)
+// for ModeStrict, multiset identity (Definition 5) for ModeCounting. This
+// is the engines' hot path; packed codecs only, and *k must be zero.
+func (kc *keyCodec) compiledKey(k *Key, c *compile.Config) {
+	for i, s := range c.States {
+		k.packed[i] = byte(s)<<2 | class(c.Versions[i], c.Latest)
+	}
+	if kc.mode == ModeCounting {
+		sortBytes(k.packed[:kc.n])
+	}
+	k.packed[kc.n] = packedMark | class(c.MemVersion, c.Latest)
+}
+
+// compiledTupleKey sets *k to the state-only tuple identity (data ignored)
+// of a compiled configuration, the strict tuple census key of
+// Result.TupleStates. It is order-sensitive in both modes, exactly like
+// the legacy Config.StateKey. Packed codecs only, and *k must be zero.
+func (kc *keyCodec) compiledTupleKey(k *Key, c *compile.Config) {
+	for i, s := range c.States {
+		k.packed[i] = byte(s) << 2
+	}
+	k.packed[kc.n] = packedMark | tupleMark
+}
+
+// key returns the equivalence-class key of a canonicalized named
+// configuration. It resolves state names, so the engines use it only off
+// the hot path: the initial state, resumed frontiers and the interpreted
+// reference expansion.
 func (kc *keyCodec) key(c *fsm.Config) Key {
 	if !kc.packed {
 		if kc.mode == ModeCounting {
@@ -160,33 +192,40 @@ func (kc *keyCodec) key(c *fsm.Config) Key {
 		}
 		return Key{str: strictKey(c)}
 	}
+	var states [maxPackedCaches]int32
 	var k Key
-	for i, s := range c.States {
-		k.packed[i] = kc.index[s] | class(c.Versions[i], c.Latest)
-	}
-	if kc.mode == ModeCounting {
-		sortBytes(k.packed[:len(c.States)])
-	}
-	k.packed[maxPackedCaches] = packedMark | class(c.MemVersion, c.Latest)
+	kc.compiledKey(&k, &compile.Config{States: kc.stateIndices(c, states[:0]), Versions: c.Versions, MemVersion: c.MemVersion, Latest: c.Latest})
 	return k
 }
 
-// tupleKey returns the state-only tuple identity (data ignored), the strict
-// tuple census key of Result.TupleStates. It is order-sensitive in both
-// modes, exactly like the legacy Config.StateKey.
+// tupleKey is compiledTupleKey for a named configuration (off the hot
+// path, like key).
 func (kc *keyCodec) tupleKey(c *fsm.Config) Key {
 	if !kc.packed {
 		return Key{str: c.StateKey()}
 	}
+	var states [maxPackedCaches]int32
 	var k Key
-	for i, s := range c.States {
-		k.packed[i] = kc.index[s]
-	}
-	k.packed[maxPackedCaches] = packedMark | tupleMark
+	kc.compiledTupleKey(&k, &compile.Config{States: kc.stateIndices(c, states[:0])})
 	return k
 }
 
-// sortBytes sorts a small byte slice in place (insertion sort: n ≤ 31).
+// stateIndices appends the compiled index of every cache state of c to
+// dst. The engines only key configurations over the protocol's declared
+// states (checkpoint restore validates names first), so an unknown state
+// is a program bug.
+func (kc *keyCodec) stateIndices(c *fsm.Config, dst []int32) []int32 {
+	for _, s := range c.States {
+		i := kc.cp.StateIndex(s)
+		if i < 0 {
+			panic(fmt.Sprintf("enum: internal error: keying undeclared state %q", s))
+		}
+		dst = append(dst, int32(i))
+	}
+	return dst
+}
+
+// sortBytes sorts a small byte slice in place (insertion sort: n ≤ 63).
 func sortBytes(b []byte) {
 	for i := 1; i < len(b); i++ {
 		v := b[i]
@@ -216,7 +255,7 @@ func (kc *keyCodec) render(k Key) string {
 		b := k.packed[i]
 		pairs[i] = string(kc.p.States[b>>2]) + ":" + strconv.FormatInt(classVersion(b&3), 10)
 	}
-	mem := strconv.FormatInt(classVersion(k.packed[maxPackedCaches]&3), 10)
+	mem := strconv.FormatInt(classVersion(k.packed[kc.n]&3), 10)
 	if kc.mode == ModeCounting {
 		sort.Strings(pairs)
 		return strings.Join(pairs, ",") + "|m:" + mem
@@ -259,11 +298,11 @@ func (kc *keyCodec) parse(s string) (Key, error) {
 		if err != nil {
 			return Key{}, fmt.Errorf("enum: state key %q: %w", s, err)
 		}
-		idx, ok := kc.index[fsm.State(name)]
-		if !ok {
+		idx := kc.cp.StateIndex(fsm.State(name))
+		if idx < 0 {
 			return Key{}, fmt.Errorf("enum: state key %q references unknown state %q", s, name)
 		}
-		k.packed[i] = idx | versionClass(ver)
+		k.packed[i] = byte(idx)<<2 | versionClass(ver)
 	}
 	mem := int64(canonFresh)
 	for _, f := range fields[1:] {
@@ -278,7 +317,7 @@ func (kc *keyCodec) parse(s string) (Key, error) {
 	if kc.mode == ModeCounting {
 		sortBytes(k.packed[:kc.n])
 	}
-	k.packed[maxPackedCaches] = packedMark | versionClass(mem)
+	k.packed[kc.n] = packedMark | versionClass(mem)
 	return k, nil
 }
 
@@ -293,13 +332,13 @@ func (kc *keyCodec) parseTuple(s string) (Key, error) {
 	}
 	var k Key
 	for i, name := range parts {
-		idx, ok := kc.index[fsm.State(name)]
-		if !ok {
+		idx := kc.cp.StateIndex(fsm.State(name))
+		if idx < 0 {
 			return Key{}, fmt.Errorf("enum: tuple key %q references unknown state %q", s, name)
 		}
-		k.packed[i] = idx
+		k.packed[i] = byte(idx) << 2
 	}
-	k.packed[maxPackedCaches] = packedMark | tupleMark
+	k.packed[kc.n] = packedMark | tupleMark
 	return k, nil
 }
 

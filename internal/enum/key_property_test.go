@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/compile"
 	"repro/internal/fsm"
 	"repro/internal/protocols"
 	"repro/internal/randproto"
@@ -45,9 +46,22 @@ func TestPackedKeyPartitionMatchesLegacy(t *testing.T) {
 				if _, err := fsm.Step(p, c, rng.Intn(n), p.Ops[rng.Intn(len(p.Ops))]); err != nil {
 					t.Fatalf("seed %d mode %s: step: %v", seed, mode, err)
 				}
+				// The engines key a successor straight from its compiled,
+				// uncanonicalized form; that must agree with keying the
+				// canonicalized named configuration.
+				var raw compile.Config
+				if err := kc.cp.Encode(c, &raw); err != nil {
+					t.Fatalf("seed %d mode %s: encode: %v", seed, mode, err)
+				}
+				var rawKey, rawTuple Key
+				kc.compiledKey(&rawKey, &raw)
+				kc.compiledTupleKey(&rawTuple, &raw)
 				Canonicalize(c)
 				k := kc.key(c)
 				lk := legacy(c)
+				if rawKey != k || rawTuple != kc.tupleKey(c) {
+					t.Fatalf("seed %d mode %s: compiled key of the raw successor differs from the key of %q", seed, mode, lk)
+				}
 
 				if prev, ok := byLegacy[lk]; ok && prev != k {
 					t.Fatalf("seed %d mode %s: legacy key %q maps to two packed keys", seed, mode, lk)
@@ -86,8 +100,8 @@ func TestPackedKeyPartitionMatchesLegacy(t *testing.T) {
 }
 
 // TestPackedKeyFallbackLargeN checks the transparent fallback: above the
-// packed cache limit the codec must still produce the legacy partition (it
-// IS the legacy string in that regime).
+// packed cache limit (at n=64) the codec must still produce the legacy
+// partition (it IS the legacy string in that regime).
 func TestPackedKeyFallbackLargeN(t *testing.T) {
 	p := protocols.Illinois()
 	n := maxPackedCaches + 1

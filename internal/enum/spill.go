@@ -151,7 +151,6 @@ func (b *bfs) spillFilter(entries []*pendEntry) ([]*pendEntry, error) {
 	if sp == nil || (len(sp.visitedFiles) == 0 && len(sp.tupleFiles) == 0) || len(entries) == 0 {
 		return entries, nil
 	}
-	var buf [maxPackedCaches + 1]byte
 	for _, path := range sp.visitedFiles {
 		br, err := loadSpillBlob(path)
 		if err != nil {
@@ -161,32 +160,20 @@ func (b *bfs) spillFilter(entries []*pendEntry) ([]*pendEntry, error) {
 			if e == nil {
 				continue
 			}
-			if br.Has(packKeyBytes(e.it.key, b.n, buf[:])) {
+			if br.Has(keyBytes(&e.it.key, b.n)) {
 				releaseConfig(e.it.cfg)
 				entries[i] = nil
 			}
 		}
 	}
-	if len(sp.tupleFiles) > 0 {
-		// Tuple keys of the survivors, aligned with entries.
-		tks := make([]Key, len(entries))
-		for i, e := range entries {
-			if e != nil {
-				tks[i] = b.kc.tupleKey(e.it.cfg)
-			}
+	for _, path := range sp.tupleFiles {
+		br, err := loadSpillBlob(path)
+		if err != nil {
+			return nil, err
 		}
-		for _, path := range sp.tupleFiles {
-			br, err := loadSpillBlob(path)
-			if err != nil {
-				return nil, err
-			}
-			for i, e := range entries {
-				if e == nil || e.it.tupleDup {
-					continue
-				}
-				if br.Has(packKeyBytes(tks[i], b.n, buf[:])) {
-					e.it.tupleDup = true
-				}
+		for _, e := range entries {
+			if e != nil && !e.it.tupleDup && br.Has(keyBytes(&e.it.tuple, b.n)) {
+				e.it.tupleDup = true
 			}
 		}
 	}
@@ -208,7 +195,7 @@ func (b *bfs) forEachSpilled(files []string, f func(k Key, rank uint32)) error {
 		if err != nil {
 			return err
 		}
-		br.ForEach(func(kb []byte, r uint32) { f(unpackKeyBytes(kb, b.n), r) })
+		br.ForEach(func(kb []byte, r uint32) { f(unpackKeyBytes(kb), r) })
 	}
 	return nil
 }

@@ -35,23 +35,24 @@ func resultSignature(r *Result) string {
 }
 
 // TestCompactStoreMatchesLegacyStore is the correctness property of the
-// compact visited set: over random well-formed protocols, an enumeration
-// backed by the prefix-sharded stateset must admit exactly the same state
-// partition — same unique states, visit counts, tuple census, violations
-// and witness paths — as the legacy map-backed store it replaced. The
-// legacy path is forced via testForceLegacyStore, which newStores
-// consults, so both runs execute the identical engine code around the
-// store boundary.
+// packed keys and the compact visited set: over random well-formed
+// protocols, an enumeration keyed by packed bytes and backed by the
+// hash-indexed stateset must admit exactly the same state partition —
+// same unique states, visit counts, tuple census, violations and witness
+// paths — as the legacy canonical strings in the map-backed store. The
+// legacy path is forced via testForceStringKeys, which newKeyCodec
+// consults (and newStores follows), so both runs execute the identical
+// engine code around the key and store boundary.
 func TestCompactStoreMatchesLegacyStore(t *testing.T) {
-	defer func() { testForceLegacyStore = false }()
+	defer func() { testForceStringKeys = false }()
 	for seed := int64(0); seed < 15; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := randproto.New(rng, 1+rng.Intn(4))
 		n := 2 + rng.Intn(3)
 		for _, mode := range []string{ModeStrict, ModeCounting} {
 			run := func(forceLegacy bool) *Result {
-				testForceLegacyStore = forceLegacy
-				defer func() { testForceLegacyStore = false }()
+				testForceStringKeys = forceLegacy
+				defer func() { testForceStringKeys = false }()
 				var r *Result
 				var err error
 				if mode == ModeCounting {

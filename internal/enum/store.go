@@ -53,17 +53,12 @@ const noParent = ^uint32(0)
 // parentRecBytes is the slice cost per provenance record.
 const parentRecBytes = 8
 
-// testForceLegacyStore, when set by tests, selects the map-backed
-// fallback store even for packable runs, so the compact set can be
-// property-tested against the legacy path on identical inputs.
-var testForceLegacyStore = false
-
 // newStores picks the visited and tuple store implementation for a run:
-// the compact prefix-sharded set when the codec packs keys into
-// fixed-width bytes, the map fallback otherwise (huge n or state
-// alphabets, where keys carry heap strings a flat slab cannot hold).
+// the compact hash-indexed set when the codec packs keys into fixed-width
+// bytes, the map fallback otherwise (huge n or state alphabets, where keys
+// carry heap strings a flat slab cannot hold).
 func newStores(kc *keyCodec, n int) (visited, tuples visitedStore) {
-	if kc.packed && !testForceLegacyStore {
+	if kc.packed {
 		return newCompactStore(n), newCompactStore(n)
 	}
 	return newMapStore(), newMapStore()
@@ -82,27 +77,22 @@ func buildOpIndex(p *fsm.Protocol) (map[fsm.Op]uint8, error) {
 	return ix, nil
 }
 
-// packKeyBytes renders a packed Key into its width-(n+1) byte form for
-// the compact store: the n per-cache bytes plus the reserved
-// marker/memory byte. buf must have at least n+1 bytes.
-func packKeyBytes(k Key, n int, buf []byte) []byte {
-	copy(buf[:n], k.packed[:n])
-	buf[n] = k.packed[maxPackedCaches]
-	return buf[:n+1]
-}
+// keyBytes returns the width-(n+1) byte form of a packed Key the compact
+// store holds: the n per-cache bytes and the reserved marker/memory byte.
+// It aliases k.
+func keyBytes(k *Key, n int) []byte { return k.packed[:n+1] }
 
-// unpackKeyBytes is the inverse of packKeyBytes.
-func unpackKeyBytes(b []byte, n int) Key {
+// unpackKeyBytes is the inverse of keyBytes.
+func unpackKeyBytes(b []byte) Key {
 	var k Key
-	copy(k.packed[:n], b[:n])
-	k.packed[maxPackedCaches] = b[n]
+	copy(k.packed[:], b)
 	return k
 }
 
-// compactStore backs packed runs with the prefix-sharded sorted-run set
-// of internal/stateset: n+5 bytes per resident state (key + rank)
-// instead of a map entry's ~130, and Spill support for out-of-core
-// runs.
+// compactStore backs packed runs with the hash-indexed slab of
+// internal/stateset: n+5 bytes per resident state (key + rank) plus its
+// index slots, instead of a map entry's ~130, and Spill support for
+// out-of-core runs.
 type compactStore struct {
 	set *stateset.Set
 	n   int
@@ -112,27 +102,18 @@ func newCompactStore(n int) *compactStore {
 	return &compactStore{set: stateset.New(n + 1), n: n}
 }
 
-func (cs *compactStore) has(k Key) bool {
-	var buf [maxPackedCaches + 1]byte
-	return cs.set.Has(packKeyBytes(k, cs.n, buf[:]))
-}
+func (cs *compactStore) has(k Key) bool { return cs.set.Has(keyBytes(&k, cs.n)) }
 
-func (cs *compactStore) rank(k Key) (uint32, bool) {
-	var buf [maxPackedCaches + 1]byte
-	return cs.set.Rank(packKeyBytes(k, cs.n, buf[:]))
-}
+func (cs *compactStore) rank(k Key) (uint32, bool) { return cs.set.Rank(keyBytes(&k, cs.n)) }
 
-func (cs *compactStore) insert(k Key) uint32 {
-	var buf [maxPackedCaches + 1]byte
-	return cs.set.Insert(packKeyBytes(k, cs.n, buf[:]))
-}
+func (cs *compactStore) insert(k Key) uint32 { return cs.set.Insert(keyBytes(&k, cs.n)) }
 
 func (cs *compactStore) size() int     { return cs.set.Len() }
 func (cs *compactStore) resident() int { return cs.set.Resident() }
 func (cs *compactStore) bytes() int64  { return cs.set.Bytes() }
 
 func (cs *compactStore) forEach(f func(k Key, rank uint32)) {
-	cs.set.ForEach(func(b []byte, r uint32) { f(unpackKeyBytes(b, cs.n), r) })
+	cs.set.ForEach(func(b []byte, r uint32) { f(unpackKeyBytes(b), r) })
 }
 
 func (cs *compactStore) spill() []byte { return cs.set.Spill() }
@@ -148,9 +129,9 @@ type mapStore struct {
 }
 
 // mapEntryBytes approximates the heap cost of one mapStore entry: the
-// 48-byte Key twice (map key and rank-index slice), the rank value and
+// 80-byte Key twice (map key and rank-index slice), the rank value and
 // map bucket overhead.
-const mapEntryBytes = 176
+const mapEntryBytes = 240
 
 func newMapStore() *mapStore {
 	return &mapStore{ranks: make(map[Key]uint32)}

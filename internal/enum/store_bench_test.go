@@ -6,12 +6,12 @@ import (
 )
 
 // BenchmarkVisitedStoreBytes inserts the same random packed-key
-// population into the compact prefix-sharded store and the legacy
+// population into the compact hash-indexed store and the legacy
 // map-backed store, and reports the resident bytes per state of each —
 // the metric behind the out-of-core work. The compact layout holds
-// width+4 bytes per state plus a fixed shard overhead, against the
-// map's ~176-byte entries; the bytes/state columns of the two
-// sub-benchmarks are the compression ratio.
+// width+4 bytes per state plus its index slots, against the map's
+// ~240-byte entries; the bytes/state columns of the two sub-benchmarks
+// are the compression ratio.
 func BenchmarkVisitedStoreBytes(b *testing.B) {
 	const n = 8           // caches: width n+1 = 9 bytes per packed key
 	const states = 200000 // population size, comparable to a mid-size Fig. 2 run
@@ -23,7 +23,7 @@ func BenchmarkVisitedStoreBytes(b *testing.B) {
 		for i := 0; i < n; i++ {
 			k.packed[i] = byte(1 + rng.Intn(62))
 		}
-		k.packed[maxPackedCaches] = byte(rng.Intn(3))
+		k.packed[n] = byte(rng.Intn(3))
 		if !seen[k] {
 			seen[k] = true
 			keys = append(keys, k)

@@ -1,25 +1,26 @@
-// Package stateset provides a compact, prefix-sharded set over
-// fixed-width byte keys, built for the enumeration engine's visited and
-// tuple-census sets where a Go map's ~100+ bytes of per-entry overhead
-// dominates the footprint long before the state space itself does.
+// Package stateset provides a compact set over fixed-width byte keys,
+// built for the enumeration engine's visited and tuple-census sets where
+// a Go map's ~100+ bytes of per-entry overhead dominates the footprint
+// long before the state space itself does.
 //
-// Keys are sharded by their first byte into 256 shards. Each shard is an
-// append log of recent insertions plus a stack of sorted runs merged with
-// a binary-counter discipline (two runs of similar size merge into one,
-// like an LSM level), so memory is a flat byte slab: width+4 bytes per
-// entry — the key plus its 32-bit insertion rank — with no per-entry
-// allocation, pointer, or hash-bucket overhead.
+// Entries live in one flat slab in rank order, width+4 bytes each: the
+// key plus its 32-bit insertion rank. An open-addressed hash index of
+// uint32 slab positions (linear probing, at most half full) answers Has
+// and Rank with O(1) expected probes. Slab and index hold no pointers,
+// so the garbage collector never scans them, and they grow together:
+// the slab's capacity is exactly the number of entries the index admits
+// before it doubles.
 //
 // The set is insert-only (the engines never delete states) and keys are
 // assumed distinct by contract: the caller deduplicates via Has/Rank
 // before Insert, exactly as the engines deduplicate before admission.
 //
-// Spill support: Spill serializes every resident entry into a sorted
-// blob and drops them from memory; BlobReader answers Has/Rank against
-// such a blob with binary search and no decode step, so cold entries can
-// live on disk (through any envelope the caller likes — the enumeration
-// uses ckptio's CRC32 envelope) and stream back for dedup at level
-// boundaries.
+// Spill support: Spill sorts the resident entries once, serializes them
+// into a blob of 256 sorted sections (one per first key byte) and drops
+// them from memory; BlobReader answers Has/Rank against such a blob with
+// binary search and no decode step, so cold entries can live on disk
+// (through any envelope the caller likes — the enumeration uses ckptio's
+// CRC32 envelope) and stream back for dedup at level boundaries.
 package stateset
 
 import (
@@ -30,37 +31,36 @@ import (
 )
 
 const (
+	// numShards is the number of sections of a spill blob: its entries
+	// are grouped by their key's first byte.
 	numShards = 256
 
-	// flushEntries is the append-log length at which a shard sorts its
-	// log into a run. Small enough that Has scans stay cheap, large
-	// enough that runs merge geometrically rather than per-insert.
-	flushEntries = 128
+	// minSlots is the index size allocated by the first insertion.
+	minSlots = 64
 
-	// setOverhead approximates the fixed cost of the shard table, slice
-	// headers, and append-log capacity slack so Bytes() stays honest
-	// for small sets.
-	setOverhead = 64 * 1024
+	// setOverhead is the fixed cost of the Set struct and its slice
+	// headers, so Bytes stays honest for an empty set.
+	setOverhead = 96
 )
 
 // blobMagic prefixes a spill blob: "SSP" + format version 1.
 var blobMagic = [4]byte{'S', 'S', 'P', '1'}
-
-type shard struct {
-	log  []byte   // unsorted recent entries, flushed at flushEntries
-	runs [][]byte // sorted runs, newest last, geometrically sized
-}
 
 // Set is a compact insert-only set of fixed-width byte keys. Not safe
 // for concurrent mutation; concurrent Has/Rank calls are safe between
 // mutations (the engines read lock-free during a BFS level and insert
 // only at the reconcile barrier).
 type Set struct {
-	width    int // key bytes
-	esize    int // entry bytes: width + 4-byte rank
-	count    int // total inserted, including spilled entries
-	resident int // entries currently in memory
-	shards   [numShards]shard
+	width int // key bytes
+	esize int // entry bytes: width + 4-byte rank
+	count int // total inserted, including spilled entries
+	// slab holds the resident entries in rank order, each the key
+	// followed by its little-endian rank.
+	slab []byte
+	// index is the open-addressed hash index over slab: 0 marks an
+	// empty slot, v > 0 the slab entry v-1. Its length is a power of
+	// two, at least twice the resident count.
+	index []uint32
 }
 
 // New returns an empty set over keys of exactly width bytes (1..255).
@@ -79,13 +79,12 @@ func (s *Set) Width() int { return s.width }
 func (s *Set) Len() int { return s.count }
 
 // Resident reports the number of keys currently held in memory.
-func (s *Set) Resident() int { return s.resident }
+func (s *Set) Resident() int { return len(s.slab) / s.esize }
 
-// Bytes estimates the resident heap footprint in bytes. Entries are
-// stored in flat slabs, so the estimate is esize per resident entry
-// plus a fixed allowance for the shard table and log slack.
+// Bytes reports the resident heap footprint in bytes: the slab's
+// capacity, four bytes per index slot, and the fixed struct cost.
 func (s *Set) Bytes() int64 {
-	return int64(s.resident)*int64(s.esize) + setOverhead
+	return int64(cap(s.slab)) + 4*int64(len(s.index)) + setOverhead
 }
 
 // Insert adds k (which must not already be present — check with Has or
@@ -95,15 +94,12 @@ func (s *Set) Insert(k []byte) uint32 {
 	s.checkWidth(k)
 	r := uint32(s.count)
 	s.count++
-	s.resident++
-	sh := &s.shards[k[0]]
-	sh.log = append(sh.log, k...)
-	var rb [4]byte
-	binary.LittleEndian.PutUint32(rb[:], r)
-	sh.log = append(sh.log, rb[:]...)
-	if len(sh.log) >= flushEntries*s.esize {
-		s.flush(sh)
+	if 2*(s.Resident()+1) > len(s.index) {
+		s.resize(max(minSlots, 2*len(s.index)))
 	}
+	s.slab = append(s.slab, k...)
+	s.slab = binary.LittleEndian.AppendUint32(s.slab, r)
+	s.place(k, uint32(s.Resident()))
 	return r
 }
 
@@ -117,31 +113,27 @@ func (s *Set) Has(k []byte) bool {
 // Rank returns the insertion rank of a resident key.
 func (s *Set) Rank(k []byte) (uint32, bool) {
 	s.checkWidth(k)
-	sh := &s.shards[k[0]]
-	for i := 0; i+s.esize <= len(sh.log); i += s.esize {
-		if bytes.Equal(sh.log[i:i+s.width], k) {
-			return binary.LittleEndian.Uint32(sh.log[i+s.width : i+s.esize]), true
+	if len(s.index) == 0 {
+		return 0, false
+	}
+	mask := uint64(len(s.index) - 1)
+	for i := hashKey(k) & mask; ; i = (i + 1) & mask {
+		v := s.index[i]
+		if v == 0 {
+			return 0, false
+		}
+		e := s.slab[int(v-1)*s.esize:][:s.esize]
+		if bytes.Equal(e[:s.width], k) {
+			return binary.LittleEndian.Uint32(e[s.width:]), true
 		}
 	}
-	for j := len(sh.runs) - 1; j >= 0; j-- {
-		if r, ok := searchRun(sh.runs[j], s.width, s.esize, k); ok {
-			return r, true
-		}
-	}
-	return 0, false
 }
 
-// ForEach calls f for every resident key with its rank, in unspecified
-// order. The key slice aliases internal storage: it is valid only for
-// the duration of the call and must not be mutated or retained.
+// ForEach calls f for every resident key with its rank, in rank order.
+// The key slice aliases internal storage: it is valid only for the
+// duration of the call and must not be mutated or retained.
 func (s *Set) ForEach(f func(key []byte, rank uint32)) {
-	for si := range s.shards {
-		sh := &s.shards[si]
-		forEachEntry(sh.log, s.width, s.esize, f)
-		for _, run := range sh.runs {
-			forEachEntry(run, s.width, s.esize, f)
-		}
-	}
+	forEachEntry(s.slab, s.width, s.esize, f)
 }
 
 // Spill serializes every resident entry into a self-describing sorted
@@ -150,23 +142,24 @@ func (s *Set) ForEach(f func(key []byte, rank uint32)) {
 // the resident set and all spill blobs. Returns nil when nothing is
 // resident.
 func (s *Set) Spill() []byte {
-	if s.resident == 0 {
+	if len(s.slab) == 0 {
 		return nil
 	}
-	blob := make([]byte, 0, len(blobMagic)+1+numShards*4+s.resident*s.esize)
+	sortEntries(s.slab, s.width, s.esize, false)
+	blob := make([]byte, 0, len(blobMagic)+1+numShards*4+len(s.slab))
 	blob = append(blob, blobMagic[:]...)
 	blob = append(blob, byte(s.width))
-	for si := range s.shards {
-		sh := &s.shards[si]
-		merged := s.mergedShard(sh)
-		var cb [4]byte
-		binary.LittleEndian.PutUint32(cb[:], uint32(len(merged)/s.esize))
-		blob = append(blob, cb[:]...)
-		blob = append(blob, merged...)
-		sh.log = nil
-		sh.runs = nil
+	rest := s.slab
+	for si := 0; si < numShards; si++ {
+		size := 0
+		for size < len(rest) && rest[size] == byte(si) {
+			size += s.esize
+		}
+		blob = binary.LittleEndian.AppendUint32(blob, uint32(size/s.esize))
+		blob = append(blob, rest[:size]...)
+		rest = rest[size:]
 	}
-	s.resident = 0
+	s.slab, s.index = nil, nil
 	return blob
 }
 
@@ -184,52 +177,61 @@ func (s *Set) Restore(blob []byte) error {
 		return fmt.Errorf("stateset: restoring blob of width %d into set of width %d", br.width, s.width)
 	}
 	br.ForEach(func(k []byte, r uint32) {
-		s.resident++
-		sh := &s.shards[k[0]]
-		sh.log = append(sh.log, k...)
-		var rb [4]byte
-		binary.LittleEndian.PutUint32(rb[:], r)
-		sh.log = append(sh.log, rb[:]...)
-		if len(sh.log) >= flushEntries*s.esize {
-			s.flush(sh)
-		}
+		s.slab = append(s.slab, k...)
+		s.slab = binary.LittleEndian.AppendUint32(s.slab, r)
 	})
+	sortEntries(s.slab, s.width, s.esize, true)
+	slots := max(minSlots, len(s.index))
+	for slots < 2*s.Resident() {
+		slots *= 2
+	}
+	s.resize(slots)
 	return nil
 }
 
-// mergedShard returns all entries of sh as one sorted run without
-// mutating the shard.
-func (s *Set) mergedShard(sh *shard) []byte {
-	total := len(sh.log)
-	for _, run := range sh.runs {
-		total += len(run)
+// resize gives the index the given number of slots and the slab room
+// for the half of them the index admits, then re-indexes every entry.
+func (s *Set) resize(slots int) {
+	if cap(s.slab) != slots/2*s.esize {
+		slab := make([]byte, len(s.slab), slots/2*s.esize)
+		copy(slab, s.slab)
+		s.slab = slab
 	}
-	if total == 0 {
-		return nil
+	s.index = make([]uint32, slots)
+	for e := 0; e < s.Resident(); e++ {
+		s.place(s.slab[e*s.esize:][:s.width], uint32(e+1))
 	}
-	out := make([]byte, 0, total)
-	out = append(out, sh.log...)
-	for _, run := range sh.runs {
-		out = append(out, run...)
-	}
-	sortEntries(out, s.width, s.esize)
-	return out
 }
 
-// flush sorts the shard's log into a run and merges runs while the top
-// of the stack is no larger than the run being pushed (binary-counter
-// merging keeps the stack logarithmic and total merge work O(n log n)).
-func (s *Set) flush(sh *shard) {
-	run := make([]byte, len(sh.log))
-	copy(run, sh.log)
-	sh.log = sh.log[:0]
-	sortEntries(run, s.width, s.esize)
-	for len(sh.runs) > 0 && len(sh.runs[len(sh.runs)-1]) <= len(run) {
-		top := sh.runs[len(sh.runs)-1]
-		sh.runs = sh.runs[:len(sh.runs)-1]
-		run = mergeRuns(top, run, s.width, s.esize)
+// place stores v in the first empty slot of k's probe sequence.
+func (s *Set) place(k []byte, v uint32) {
+	mask := uint64(len(s.index) - 1)
+	i := hashKey(k) & mask
+	for s.index[i] != 0 {
+		i = (i + 1) & mask
 	}
-	sh.runs = append(sh.runs, run)
+	s.index[i] = v
+}
+
+// hashKey mixes a key into an index slot selector: eight bytes at a
+// time through a multiply-xorshift round, finished with the murmur3
+// 64-bit mixer so every key byte reaches the low bits the index masks.
+func hashKey(k []byte) uint64 {
+	const m = 0x9e3779b97f4a7c15
+	h := uint64(len(k))
+	for ; len(k) >= 8; k = k[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(k)) * m
+		h ^= h >> 32
+	}
+	var t uint64
+	for i, b := range k {
+		t |= uint64(b) << (8 * i)
+	}
+	h = (h ^ t) * m
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h
 }
 
 func (s *Set) checkWidth(k []byte) {
@@ -244,7 +246,7 @@ func forEachEntry(buf []byte, width, esize int, f func(key []byte, rank uint32))
 	}
 }
 
-// searchRun binary-searches a sorted run for key k.
+// searchRun binary-searches a sorted blob section for key k.
 func searchRun(run []byte, width, esize int, k []byte) (uint32, bool) {
 	n := len(run) / esize
 	i := sort.Search(n, func(i int) bool {
@@ -256,40 +258,28 @@ func searchRun(run []byte, width, esize int, k []byte) (uint32, bool) {
 	return 0, false
 }
 
-// mergeRuns merges two sorted runs of distinct keys into one.
-func mergeRuns(a, b []byte, width, esize int) []byte {
-	out := make([]byte, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if bytes.Compare(a[i:i+width], b[j:j+width]) <= 0 {
-			out = append(out, a[i:i+esize]...)
-			i += esize
-		} else {
-			out = append(out, b[j:j+esize]...)
-			j += esize
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-// sortEntries sorts width+4-byte entries in buf by key bytes in place.
-func sortEntries(buf []byte, width, esize int) {
-	sort.Sort(&entrySorter{buf: buf, width: width, esize: esize})
+// sortEntries sorts width+4-byte entries in buf in place, by key bytes
+// or, with byRank, by rank.
+func sortEntries(buf []byte, width, esize int, byRank bool) {
+	sort.Sort(&entrySorter{buf: buf, width: width, esize: esize, byRank: byRank})
 }
 
 type entrySorter struct {
-	buf   []byte
-	width int
-	esize int
-	tmp   [260]byte // max esize: 255-byte key + 4-byte rank
+	buf    []byte
+	width  int
+	esize  int
+	byRank bool
+	tmp    [260]byte // max esize: 255-byte key + 4-byte rank
 }
 
 func (e *entrySorter) Len() int { return len(e.buf) / e.esize }
 
 func (e *entrySorter) Less(i, j int) bool {
-	return bytes.Compare(e.buf[i*e.esize:i*e.esize+e.width], e.buf[j*e.esize:j*e.esize+e.width]) < 0
+	a, b := e.buf[i*e.esize:][:e.esize], e.buf[j*e.esize:][:e.esize]
+	if e.byRank {
+		return binary.LittleEndian.Uint32(a[e.width:]) < binary.LittleEndian.Uint32(b[e.width:])
+	}
+	return bytes.Compare(a[:e.width], b[:e.width]) < 0
 }
 
 func (e *entrySorter) Swap(i, j int) {

@@ -170,20 +170,32 @@ func TestBlobReaderRejectsCorruptBlobs(t *testing.T) {
 	}
 }
 
-// TestBytesGrowsLinearly pins the footprint estimate to the flat-slab
-// model: esize bytes per resident entry plus the fixed allowance.
+// TestBytesGrowsLinearly pins the footprint to the slab-plus-index
+// model: the index has the smallest power-of-two slot count (at least
+// minSlots) that keeps it at most half full, each slot costs 4 bytes,
+// and the slab has room for exactly half as many entries of width+4
+// bytes. The footprint therefore grows linearly in the resident count,
+// doubling at each index growth, and drops back to the fixed allowance
+// after a spill.
 func TestBytesGrowsLinearly(t *testing.T) {
-	s := New(8)
+	const width = 8
+	s := New(width)
 	base := s.Bytes()
-	rng := rand.New(rand.NewSource(5))
-	keys := randomKeys(rng, 8, 10000)
-	for _, k := range keys {
-		s.Insert(k)
+	if base != setOverhead {
+		t.Fatalf("empty set Bytes = %d, want %d", base, setOverhead)
 	}
-	got := s.Bytes() - base
-	want := int64(len(keys)) * int64(8+4)
-	if got != want {
-		t.Fatalf("Bytes grew by %d for %d entries, want %d", got, len(keys), want)
+	rng := rand.New(rand.NewSource(5))
+	keys := randomKeys(rng, width, 10000)
+	for i, k := range keys {
+		s.Insert(k)
+		slots := int64(minSlots)
+		for slots < 2*int64(i+1) {
+			slots *= 2
+		}
+		want := 4*slots + slots/2*(width+4)
+		if got := s.Bytes() - base; got != want {
+			t.Fatalf("Bytes grew by %d for %d entries, want %d", got, i+1, want)
+		}
 	}
 	s.Spill()
 	if s.Bytes() != base {
