@@ -287,13 +287,15 @@ func BenchmarkSimulator(b *testing.B) {
 }
 
 // BenchmarkParallelEnumeration — the Figure 2 baseline with a worker pool:
-// level-synchronous parallel BFS over the mⁿ space (Dragon, n=8).
+// the level-synchronous BFS over the mⁿ space (Dragon, n=8) at several
+// worker counts; states/s counts distinct states per second.
 func BenchmarkParallelEnumeration(b *testing.B) {
 	p := protocols.Dragon()
 	for _, workers := range []int{1, 2, 4, 8} {
 		workers := workers
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
+			states := 0
 			for i := 0; i < b.N; i++ {
 				res, err := enum.ExhaustiveParallel(p, 8, enum.Options{}, workers)
 				if err != nil {
@@ -302,7 +304,9 @@ func BenchmarkParallelEnumeration(b *testing.B) {
 				if res.Unique == 0 {
 					b.Fatal("no states")
 				}
+				states += res.Unique
 			}
+			b.ReportMetric(float64(states)/b.Elapsed().Seconds(), "states/s")
 		})
 	}
 }

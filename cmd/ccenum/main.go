@@ -73,7 +73,7 @@ func main() {
 		mode        = flag.String("mode", "both", "strict, counting, or both")
 		strict      = flag.Bool("strict", false, "enable the clean-state/memory extension check")
 		max         = flag.Int("max", 0, "state cap (0: default)")
-		workers     = flag.Int("workers", 1, "parallel BFS workers (1: sequential, 0: GOMAXPROCS)")
+		workers     = flag.Int("workers", 1, "parallel BFS workers (1: one worker, 0: GOMAXPROCS)")
 		memBudget   = flag.Int64("mem-budget", 0, "resident memory budget in bytes (0: none)")
 		spillDir    = flag.String("spill-dir", "", "spill cold state shards to this directory instead of stopping at -mem-budget")
 		timeout     = flag.Duration("timeout", 0, "wall-clock limit for the whole run (0: none)")

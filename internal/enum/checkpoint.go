@@ -26,7 +26,7 @@ import (
 const CheckpointVersion = 3
 
 // Checkpoint is a resumable snapshot of an enumeration run, taken at a
-// worklist/level boundary: every state is either fully expanded (in
+// BFS level boundary: every state is either fully expanded (in
 // Visited with its provenance in Parents) or waiting on the Frontier, so a
 // resumed run reaches exactly the counts an uninterrupted run would. The
 // JSON encoding is stable and deterministic (Visited in admission-rank
@@ -130,7 +130,7 @@ func (cs ConfigState) config() (*fsm.Config, error) {
 // are folded back in (rank order makes the merge trivial: every rank
 // indexes its slot), so the snapshot is self-contained and resuming it
 // needs no spill files.
-func (b *bfs) snapshot(frontier []*fsm.Config) (*Checkpoint, error) {
+func (b *bfs) snapshot(frontier []node) (*Checkpoint, error) {
 	cp := &Checkpoint{
 		Version:  CheckpointVersion,
 		Protocol: b.p.Name,
@@ -167,8 +167,8 @@ func (b *bfs) snapshot(frontier []*fsm.Config) (*Checkpoint, error) {
 			Op:     string(b.p.Ops[rec.op]),
 		}
 	}
-	for i, c := range frontier {
-		cp.Frontier[i] = configState(c)
+	for i, nd := range frontier {
+		cp.Frontier[i] = configState(nd.cfg)
 	}
 	for _, rc := range b.res.Reachable {
 		cp.Reachable = append(cp.Reachable, configState(rc))
@@ -231,10 +231,10 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	return DecodeCheckpoint(data)
 }
 
-// resumeBFS rebuilds the shared run state from opts.Resume and returns
-// the checkpoint's frontier (never nil). A non-zero n or a non-empty
-// opts.Mode must match the checkpoint.
-func resumeBFS(p *fsm.Protocol, n int, opts Options) (*bfs, []*fsm.Config, error) {
+// resumeBFS rebuilds the run state from opts.Resume and returns the
+// checkpoint's frontier (never nil) with each state's admission rank. A
+// non-zero n or a non-empty opts.Mode must match the checkpoint.
+func resumeBFS(p *fsm.Protocol, n int, opts Options) (*bfs, []node, error) {
 	cp := opts.Resume
 	if cp.Version != CheckpointVersion {
 		return nil, nil, fmt.Errorf("enum: unsupported checkpoint version %d (this build reads version %d; checkpoints from older builds cannot be resumed — re-run the enumeration)", cp.Version, CheckpointVersion)
@@ -320,16 +320,17 @@ func resumeBFS(p *fsm.Protocol, n int, opts Options) (*bfs, []*fsm.Config, error
 			b.tuples.insert(k)
 		}
 	}
-	frontier := make([]*fsm.Config, len(cp.Frontier))
+	frontier := make([]node, len(cp.Frontier))
 	for i, cs := range cp.Frontier {
 		c, err := restoreConfig(cs, "frontier")
 		if err != nil {
 			return nil, nil, err
 		}
-		if !b.visited.has(b.kc.key(c)) {
+		r, ok := b.visited.rank(b.kc.key(c))
+		if !ok {
 			return nil, nil, fmt.Errorf("enum: checkpoint frontier state %q not in visited set", b.kc.render(b.kc.key(c)))
 		}
-		frontier[i] = c
+		frontier[i] = node{cfg: c, rank: r}
 	}
 	b.frontierLen = len(frontier)
 	b.bytes = b.estBytes()

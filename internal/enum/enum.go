@@ -49,11 +49,10 @@ func Canonicalize(c *fsm.Config) {
 //
 //	enum.Options{RunConfig: runctl.RunConfig{Budget: b, Metrics: reg}}
 //
-// Cancellation, the deadline and the memory budget are checked at
-// worklist-item granularity by the sequential engine and at level
-// granularity by the parallel engine, so a stopped run always ends at a
-// clean boundary and its partial Result (and checkpoint) covers whole
-// expansion steps only.
+// Cancellation, the deadline and the memory budget are checked between
+// BFS levels, at every worker count, so a stopped run always ends at a
+// clean level boundary and its partial Result (and checkpoint) covers
+// whole levels only.
 type Options struct {
 	runctl.RunConfig
 
@@ -72,9 +71,9 @@ type Options struct {
 	StopOnViolation bool
 
 	// OnCheckpoint receives the periodic snapshots requested by
-	// RunConfig.CheckpointEvery (every that many expanded states for the
-	// sequential engine, frontier states for the parallel one); a non-nil
-	// return aborts the run with that error. It stays outside RunConfig
+	// RunConfig.CheckpointEvery, taken at the first level boundary after
+	// at least that many frontier states were expanded since the last
+	// one; a non-nil return aborts the run with that error. It stays outside RunConfig
 	// because the checkpoint type is engine-specific.
 	OnCheckpoint func(*Checkpoint) error
 
@@ -136,16 +135,16 @@ type Result struct {
 	StopReason error
 	// Checkpoint is a resumable snapshot of the interrupted run, present
 	// when Options.CheckpointOnStop was set and the stop happened at a
-	// worklist/level boundary (cancellation, deadline or memory budget;
-	// the exact state cap stops mid-step and is not checkpointable).
+	// level boundary (cancellation, deadline or memory budget; the exact
+	// state cap stops mid-level and is not checkpointable).
 	Checkpoint *Checkpoint
 	// EstBytes is the run's final estimated resident footprint, the value
 	// the memory budget was enforced against (see stateBytes).
 	EstBytes int64
-	// WorkerErrors records panics recovered in parallel BFS workers. The
-	// affected frontier slices were re-expanded sequentially, so unless a
-	// matching SpecError reports a persistent panic the results are
-	// unaffected.
+	// WorkerErrors records panics recovered in BFS level workers. The
+	// affected frontier slices were re-expanded on the calling goroutine,
+	// so unless a matching SpecError reports a persistent panic the
+	// results are unaffected.
 	WorkerErrors []*WorkerError
 }
 
@@ -209,14 +208,12 @@ func validMode(mode string) error {
 // the context deadline and the budgets stop the run at a clean boundary,
 // returning the partial Result with a structured StopReason.
 //
-// RunConfig.Workers > 1 selects the level-synchronous parallel driver
-// with that many workers, and so does RunConfig.SpillDir (out-of-core
-// dedup exists only there; it then runs with at least one worker).
-// Otherwise the sequential queue loop runs. Both drivers produce
-// bit-identical Results and checkpoints, and either resumes the other's.
+// RunConfig.Workers sets how many workers expand each BFS level (≤ 1
+// means one). The Result and checkpoints are bit-identical at every
+// worker count, and a checkpoint resumes at any worker count.
 func Run(ctx context.Context, p *fsm.Protocol, n int, opts Options) (*Result, error) {
 	var b *bfs
-	var frontier []*fsm.Config
+	var frontier []node
 	var err error
 	if opts.Resume != nil {
 		b, frontier, err = resumeBFS(p, n, opts)
@@ -229,10 +226,7 @@ func Run(ctx context.Context, p *fsm.Protocol, n int, opts Options) (*Result, er
 	if frontier == nil {
 		return b.res, nil // ended at the initial state
 	}
-	if opts.Workers > 1 || opts.SpillDir != "" {
-		return b.runPar(ctx, frontier, max(opts.Workers, 1))
-	}
-	return b.runSeq(ctx, frontier)
+	return b.run(ctx, frontier, max(opts.Workers, 1))
 }
 
 // Exhaustive runs the paper's Figure 2 algorithm: breadth-first exploration
@@ -250,10 +244,8 @@ func Counting(p *fsm.Protocol, n int, opts Options) (*Result, error) {
 	return Run(context.Background(), p, n, opts)
 }
 
-// bfs is the shared state of one enumeration run, used identically by the
-// sequential queue loop and the level-synchronous parallel loop (and
-// rebuilt from a Checkpoint on resume), so budget enforcement and
-// successor admission cannot drift between the engines.
+// bfs is the state of one enumeration run, built fresh by startBFS or
+// rebuilt from a Checkpoint by resumeBFS.
 type bfs struct {
 	p         *fsm.Protocol
 	n         int
@@ -275,31 +267,28 @@ type bfs struct {
 	opIx    map[fsm.Op]uint8
 
 	// frontierLen is the current worklist length, maintained by the run
-	// loops for the footprint estimate.
+	// loop for the footprint estimate.
 	frontierLen int
 	bytes       int64 // estimated worklist+visited footprint (estBytes)
 
-	// memo caches the last parent-rank lookup: successors of one
-	// expansion step share a parent, so commit resolves it once.
-	memoKey  Key
-	memoRank uint32
-	memoOK   bool
+	// spill is the out-of-core state, nil for in-memory runs (spill.go).
+	spill *spillState
 
-	// Out-of-core state (parallel engine only, see spill.go). frontRanks
-	// pins the current frontier's ranks in memory across spills;
-	// nextRanks collects the next level's during reconcile.
-	spill      *spillState
-	frontRanks map[Key]uint32
-	nextRanks  map[Key]uint32
+	// work holds the level workers' buffers, reused across levels.
+	work []levelWork
 
 	// sinceCp counts expanded states since the last periodic checkpoint.
 	sinceCp int
-	// dups counts successors discarded as identity duplicates by the
-	// sequential engine (the parallel engine derives the same quantity from
-	// Visits at level boundaries); it feeds LevelStats.Pruned.
-	dups int
 
 	res *Result
+}
+
+// node is one frontier entry: an admitted configuration waiting to be
+// expanded, with its admission rank, which the provenance records of
+// its successors cite.
+type node struct {
+	cfg  *fsm.Config
+	rank uint32
 }
 
 // cfgBytes estimates the resident cost of one frontier configuration: the
@@ -360,7 +349,7 @@ func newBFS(p *fsm.Protocol, n int, mode string, opts Options) (*bfs, error) {
 // startBFS seeds a fresh run with the initial configuration and returns
 // the first frontier, or a nil frontier when the run already ended
 // (initial-state violation under StopOnViolation).
-func startBFS(p *fsm.Protocol, n int, opts Options) (*bfs, []*fsm.Config, error) {
+func startBFS(p *fsm.Protocol, n int, opts Options) (*bfs, []node, error) {
 	mode := opts.Mode
 	if mode == "" {
 		mode = ModeStrict
@@ -387,12 +376,12 @@ func startBFS(p *fsm.Protocol, n int, opts Options) (*bfs, []*fsm.Config, error)
 			return b, nil, nil
 		}
 	}
-	return b, []*fsm.Config{init}, nil
+	return b, []node{{cfg: init, rank: 0}}, nil
 }
 
-// stopCheck evaluates the boundary-granularity budgets: context liveness,
+// stopCheck evaluates the level-boundary budgets: context liveness,
 // wall-clock deadline and memory. The state cap is enforced exactly inside
-// admit instead.
+// commit instead.
 func (b *bfs) stopCheck(ctx context.Context) error {
 	if err := runctl.FromContext(ctx); err != nil {
 		return err
@@ -407,7 +396,7 @@ func (b *bfs) stopCheck(ctx context.Context) error {
 // stop finalizes an early stop at a clean boundary: frontier holds the
 // states admitted but not yet expanded, so a checkpoint taken here resumes
 // to results identical to an uninterrupted run.
-func (b *bfs) stop(reason error, frontier []*fsm.Config) {
+func (b *bfs) stop(reason error, frontier []node) {
 	b.res.StopReason = reason
 	b.res.Truncated = true
 	b.finish()
@@ -422,7 +411,7 @@ func (b *bfs) stop(reason error, frontier []*fsm.Config) {
 }
 
 // maybeCheckpoint emits a periodic snapshot when due.
-func (b *bfs) maybeCheckpoint(frontier []*fsm.Config) error {
+func (b *bfs) maybeCheckpoint(frontier []node) error {
 	if b.opts.OnCheckpoint == nil || b.opts.CheckpointEvery <= 0 || b.sinceCp < b.opts.CheckpointEvery {
 		return nil
 	}
@@ -442,70 +431,25 @@ func (b *bfs) finish() {
 	b.res.EstBytes = b.bytes
 }
 
-// admit merges one generated successor in the sequential engine: dedup,
-// then the shared commit bookkeeping. It appends newly admitted states to
-// *next and reports true when the run must end now (StopOnViolation or
-// state budget). A visit-only item is a duplicate expandOne already
-// recognized; a materialized duplicate returns its configuration to the
-// pool.
-func (b *bfs) admit(it succItem, next *[]*fsm.Config) bool {
-	b.res.Visits++
-	if it.cfg == nil || b.visited.has(it.key) {
-		b.dups++
-		releaseConfig(it.cfg)
-		return false
-	}
-	return b.commit(it, fsm.CheckConfig(b.p, it.cfg, b.opts.Strict), next)
-}
-
-// parentRank resolves the admission rank of a parent key: the memoized
-// last lookup (successors of one step share their parent), then the
-// pinned frontier ranks of an out-of-core run (the parent may have been
-// spilled), then the resident store.
-func (b *bfs) parentRank(k Key) uint32 {
-	if k.isZero() {
-		return noParent
-	}
-	if b.memoOK && k == b.memoKey {
-		return b.memoRank
-	}
-	r, ok := uint32(0), false
-	if b.frontRanks != nil {
-		r, ok = b.frontRanks[k]
-	}
-	if !ok {
-		if r, ok = b.visited.rank(k); !ok {
-			// Parents are always either resident or pinned in frontRanks;
-			// reaching here means the run state is corrupt.
-			panic("enum: internal error: parent state has no recorded rank")
-		}
-	}
-	b.memoKey, b.memoRank, b.memoOK = k, r, true
-	return r
-}
-
-// commit installs one deduplicated successor: provenance, tuple census,
-// violation recording and the exact state cap. It is shared by the
-// sequential admit and the parallel reconcile (which precomputes viol
-// inside the workers), so the two engines cannot drift.
-func (b *bfs) commit(it succItem, viol []fsm.Violation, next *[]*fsm.Config) bool {
-	rank := b.visited.insert(it.key)
+// commit installs one candidate that is new to the visited set:
+// provenance, tuple census, violation recording and the exact state cap.
+// It appends the admitted state to *next and reports true when the run
+// must end now (StopOnViolation or state budget).
+func (b *bfs) commit(c *candidate, next *[]node) bool {
+	rank := b.visited.insert(c.key)
 	b.parents = append(b.parents, parentRec{
-		parent: b.parentRank(it.parent),
-		cache:  uint16(it.cache),
-		op:     b.opIx[it.op],
+		parent: c.parent,
+		cache:  uint16(c.cache),
+		op:     b.opIx[c.op],
 	})
-	if b.nextRanks != nil {
-		b.nextRanks[it.key] = rank
+	if !c.tupleDup && !b.tuples.has(c.tuple) {
+		b.tuples.insert(c.tuple)
 	}
-	if !it.tupleDup && !b.tuples.has(it.tuple) {
-		b.tuples.insert(it.tuple)
-	}
-	if len(viol) > 0 {
+	if len(c.viol) > 0 {
 		b.res.Violations = append(b.res.Violations, Violation{
-			Config:     it.cfg.Clone(),
-			Violations: viol,
-			Path:       b.witness(it.key, rank),
+			Config:     c.cfg.Clone(),
+			Violations: c.viol,
+			Path:       b.witness(c.key, rank),
 		})
 		b.orun.Event(obs.MetricViolations, 1)
 		if b.opts.StopOnViolation {
@@ -514,7 +458,7 @@ func (b *bfs) commit(it succItem, viol []fsm.Violation, next *[]*fsm.Config) boo
 		}
 	}
 	if b.opts.KeepReachable {
-		b.res.Reachable = append(b.res.Reachable, it.cfg.Clone())
+		b.res.Reachable = append(b.res.Reachable, c.cfg.Clone())
 	}
 	if b.visited.size() >= b.maxStates {
 		b.res.StopReason = runctl.ErrStateBudget
@@ -522,77 +466,112 @@ func (b *bfs) commit(it succItem, viol []fsm.Violation, next *[]*fsm.Config) boo
 		b.finish()
 		return true
 	}
-	*next = append(*next, it.cfg)
+	*next = append(*next, node{cfg: c.cfg, rank: rank})
 	b.frontierLen++
 	return false
 }
 
-// testItemHook, when set by tests, observes each sequential expansion step
-// (called with the number of states expanded so far, before the step runs).
-var testItemHook func(expanded int)
+// testLevelHook, when set by tests, observes each level before it is
+// expanded.
+var testLevelHook func(level int)
 
-// runSeq drives the classic FIFO exploration of Figure 2. Budgets are
-// checked before each expansion step, so every dequeued state is either
-// fully expanded or still on the queue when the run stops. The successor
-// buffer is reused across steps and fully expanded configurations return
-// to the pool, so the steady-state loop allocates only for newly admitted
-// frontier states.
-func (b *bfs) runSeq(ctx context.Context, queue []*fsm.Config) (*Result, error) {
+// run drives the breadth-first exploration of Figure 2 one level at a
+// time. Up to workers workers expand contiguous slices of the level
+// (expandLevel); reconcile then commits their candidates in worker
+// order, which is exactly the FIFO admission order of the sequential
+// algorithm, so the Result — ranks, witnesses, Reachable, and Visits on
+// a mid-level stop — does not depend on the worker count. Spilling,
+// budgets, cancellation and periodic checkpoints are handled between
+// levels; only StopOnViolation and the exact state cap stop mid-level.
+func (b *bfs) run(ctx context.Context, frontier []node, workers int) (*Result, error) {
 	sp := b.orun.Phase(obs.PhaseExpand)
 	defer sp.End()
-	expanded := 0
-	// FIFO order expands the queue level by level, so the boundary where
-	// the current level's last state has been dequeued and expanded is a
-	// true BFS level boundary: everything left on the queue is the next
-	// level's frontier. Visits may carry over from a resumed checkpoint;
-	// level stats are relative to this run so registry counters never
-	// double-count.
-	level, remaining, visits0 := 0, len(queue), b.res.Visits
-	var out workerOut
-	for len(queue) > 0 {
-		b.frontierLen = len(queue)
-		if err := b.stopCheck(ctx); err != nil {
-			b.stop(err, queue)
-			return b.res, nil
-		}
-		if err := b.maybeCheckpoint(queue); err != nil {
+	if err := b.initSpill(); err != nil {
+		return nil, err
+	}
+	// Bases for run-relative level stats (Visits and the visited set may
+	// carry over from a resumed checkpoint, and registry counters must not
+	// count them twice).
+	visits0, admitted0 := b.res.Visits, b.visited.size()
+	for level := 0; len(frontier) > 0; level++ {
+		b.frontierLen = len(frontier)
+		if err := b.maybeSpill(); err != nil {
 			return nil, err
 		}
-		if testItemHook != nil {
-			testItemHook(expanded)
+		if err := b.stopCheck(ctx); err != nil {
+			b.stop(err, frontier)
+			return b.res, nil
 		}
-		cur := queue[0]
-		queue = queue[1:]
-		out.items = out.items[:0]
-		out.specErrs = out.specErrs[:0]
-		expandOne(b.kc, b.symmetric, b.visited, cur, &out)
-		b.res.SpecErrors = append(b.res.SpecErrors, out.specErrs...)
-		if len(out.specErrs) > 0 {
-			b.orun.Event("spec_errors_total", int64(len(out.specErrs)))
+		if err := b.maybeCheckpoint(frontier); err != nil {
+			return nil, err
 		}
-		for _, it := range out.items {
-			if b.admit(it, &queue) {
-				return b.res, nil
-			}
+		if testLevelHook != nil {
+			testLevelHook(level)
 		}
-		releaseConfig(cur)
-		expanded++
-		b.sinceCp++
-		if remaining--; remaining == 0 {
-			b.orun.Level(obs.LevelStats{
-				Level:     level,
-				Frontier:  len(queue),
-				Essential: b.visited.size(),
-				Visits:    b.res.Visits - visits0,
-				Pruned:    b.dups,
-				EstBytes:  b.bytes,
-			})
-			level++
-			remaining = len(queue)
+		work := b.expandLevel(level, frontier, workers)
+		rsp := b.orun.Phase(obs.PhaseReconcile)
+		next, stopped, err := b.reconcile(work)
+		rsp.End()
+		if err != nil {
+			return nil, err
 		}
+		if stopped {
+			return b.res, nil
+		}
+		for _, nd := range frontier {
+			releaseConfig(nd.cfg)
+		}
+		b.sinceCp += len(frontier)
+		putFrontierSlice(frontier)
+		frontier = next
+		b.frontierLen = len(frontier)
+		b.bytes = b.estBytes()
+		visits := b.res.Visits - visits0
+		b.orun.Level(obs.LevelStats{
+			Level:     level,
+			Frontier:  len(frontier),
+			Essential: b.visited.size(),
+			Visits:    visits,
+			Pruned:    visits - (b.visited.size() - admitted0),
+			EstBytes:  b.bytes,
+		})
 	}
 	b.finish()
 	return b.res, nil
+}
+
+// reconcile commits one level's candidates in worker order, re-checking
+// each against the visited set: a candidate can duplicate one an earlier
+// worker committed this level, or, when the expansion path could not
+// pre-check membership (string keys, interpreted expansion), one
+// committed before. On a mid-level stop Visits counts exactly the
+// successors the sequential algorithm would have generated by then: all
+// of the earlier workers' plus the stopping candidate's ordinal.
+func (b *bfs) reconcile(work []levelWork) (next []node, stopped bool, err error) {
+	if err := b.spillFilter(work); err != nil {
+		return nil, false, err
+	}
+	next = getFrontierSlice()
+	for w := range work {
+		lw := &work[w]
+		if len(lw.errs) > 0 {
+			b.res.SpecErrors = append(b.res.SpecErrors, lw.errs...)
+			b.orun.Event("spec_errors_total", int64(len(lw.errs)))
+		}
+		for i := range lw.cands {
+			c := &lw.cands[i]
+			if c.spilled || b.visited.has(c.key) {
+				releaseConfig(c.cfg)
+				continue
+			}
+			if b.commit(c, &next) {
+				b.res.Visits += c.ord
+				return nil, true, nil
+			}
+		}
+		b.res.Visits += lw.gen
+	}
+	return next, false, nil
 }
 
 // SymmetryShadowed reports whether the engines' counting-mode expansion

@@ -73,29 +73,6 @@ type Key struct {
 // isZero reports whether k is the zero sentinel.
 func (k Key) isZero() bool { return k == Key{} }
 
-// hash folds a key of an n-cache run into a shard selector (FNV-1a over
-// the n+1 bytes a packed key uses). It only needs to distribute well; it
-// is not part of the key's identity.
-func (k Key) hash(n int) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	if k.str != "" {
-		for i := 0; i < len(k.str); i++ {
-			h ^= uint64(k.str[i])
-			h *= prime64
-		}
-		return h
-	}
-	for _, b := range k.packed[:min(n+1, len(k.packed))] {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
-}
-
 // keyCodec computes, renders and parses the keys of one run. A codec is
 // specific to a (protocol, cache count, mode) triple; both engines and the
 // checkpoint layer of a run share one instance.
@@ -105,7 +82,7 @@ type keyCodec struct {
 	mode   string
 	packed bool
 	// cp is the compiled protocol expandOne steps through: the run's one
-	// lowering, shared by the sequential loop and every parallel worker.
+	// lowering, shared by every level worker.
 	cp *compile.Protocol
 }
 

@@ -129,15 +129,7 @@ func TestPackedKeyFallbackLargeN(t *testing.T) {
 // supported version, instead of misreading the old format.
 func TestOldCheckpointVersionRejected(t *testing.T) {
 	p := protocols.Illinois()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	testItemHook = func(expanded int) {
-		if expanded == 5 {
-			cancel()
-		}
-	}
-	partial, err := Run(ctx, p, 4, Options{RunConfig: runctl.RunConfig{CheckpointOnStop: true}})
-	testItemHook = nil
+	partial, err := Run(cancelAtLevel(t, 2), p, 4, Options{RunConfig: runctl.RunConfig{CheckpointOnStop: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

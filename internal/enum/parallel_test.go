@@ -1,47 +1,17 @@
 package enum
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/protocols"
-	"repro/internal/runctl"
 )
 
-// TestRunPicksDriver pins Run's driver choice through the drivers' test
-// hooks: Workers 0 or 1 runs the sequential loop (item hook only) and
-// Workers 2 the level-parallel driver (level hook only), with identical
-// results.
-func TestRunPicksDriver(t *testing.T) {
-	p := protocols.Illinois()
-	ref, err := Exhaustive(p, 4, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { testItemHook, testLevelHook = nil, nil }()
-	for _, tc := range []struct {
-		workers  int
-		parallel bool
-	}{{0, false}, {1, false}, {2, true}} {
-		items, levels := 0, 0
-		testItemHook = func(int) { items++ }
-		testLevelHook = func(int) { levels++ }
-		res, err := Run(context.Background(), p, 4, Options{RunConfig: runctl.RunConfig{Workers: tc.workers}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (levels > 0) != tc.parallel || (items > 0) == tc.parallel {
-			t.Errorf("workers=%d: %d item and %d level hook calls, want parallel=%t",
-				tc.workers, items, levels, tc.parallel)
-		}
-		sameCounts(t, res, ref, "driver choice")
-	}
-}
-
-// TestParallelMatchesSequential: the level-synchronous parallel BFS must be
-// observationally identical to the sequential algorithm — same distinct
-// states, same visit count, same tuple census — for any worker count.
+// TestParallelMatchesSequential: the level-synchronous BFS must be
+// observationally identical at every worker count — same distinct states,
+// same visit count, same tuple census. Levels are split down to one state
+// per worker, so the small runs here really fan out.
 func TestParallelMatchesSequential(t *testing.T) {
+	forceSplit(t)
 	for _, name := range []string{"illinois", "dragon", "berkeley"} {
 		p, err := protocols.ByName(name)
 		if err != nil {
@@ -70,6 +40,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 func TestParallelCountingMatchesSequential(t *testing.T) {
+	forceSplit(t)
 	p := protocols.Illinois()
 	seq, err := Counting(p, 8, Options{KeepReachable: true})
 	if err != nil {
@@ -94,6 +65,7 @@ func TestParallelCountingMatchesSequential(t *testing.T) {
 }
 
 func TestParallelFindsViolations(t *testing.T) {
+	forceSplit(t)
 	p := brokenIllinois()
 	seq, err := Exhaustive(p, 3, Options{})
 	if err != nil {
@@ -118,6 +90,7 @@ func TestParallelFindsViolations(t *testing.T) {
 }
 
 func TestParallelStopOnViolation(t *testing.T) {
+	forceSplit(t)
 	p := brokenIllinois()
 	par, err := ExhaustiveParallel(p, 3, Options{StopOnViolation: true}, 4)
 	if err != nil {
@@ -129,6 +102,7 @@ func TestParallelStopOnViolation(t *testing.T) {
 }
 
 func TestParallelTruncation(t *testing.T) {
+	forceSplit(t)
 	par, err := ExhaustiveParallel(protocols.Illinois(), 6, Options{MaxStates: 10}, 4)
 	if err != nil {
 		t.Fatal(err)

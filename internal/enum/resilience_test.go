@@ -27,18 +27,27 @@ func sameCounts(t *testing.T, got, want *Result, label string) {
 	}
 }
 
-func TestSequentialCancelReturnsPartialResult(t *testing.T) {
-	p := protocols.Illinois()
+// cancelAtLevel returns a context that is canceled when the run reaches
+// the given BFS level, so the run stops at the next level boundary. The
+// hook is removed when the test ends.
+func cancelAtLevel(t *testing.T, level int) context.Context {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	testItemHook = func(expanded int) {
-		if expanded == 5 {
+	testLevelHook = func(l int) {
+		if l == level {
 			cancel()
 		}
 	}
-	defer func() { testItemHook = nil }()
+	t.Cleanup(func() {
+		testLevelHook = nil
+		cancel()
+	})
+	return ctx
+}
 
-	res, err := Run(ctx, p, 4, Options{})
+func TestSequentialCancelReturnsPartialResult(t *testing.T) {
+	p := protocols.Illinois()
+	res, err := Run(cancelAtLevel(t, 2), p, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,85 +129,94 @@ func TestBudgetMaxStatesSetsStopReason(t *testing.T) {
 	}
 }
 
-// TestParallelCancelMidLevel cancels the parallel BFS at a level boundary
-// and asserts the partial result is prefix-consistent: it contains whole
+// TestParallelCancelMidLevel cancels the BFS at a level boundary and
+// asserts the partial result is prefix-consistent: it contains whole
 // levels only, so the counts are deterministic and identical across worker
 // pool sizes.
 func TestParallelCancelMidLevel(t *testing.T) {
 	p := protocols.Illinois()
-	const cancelLevel = 2
+	forceSplit(t)
 	runCanceled := func(workers int) *Result {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		testLevelHook = func(level int) {
-			if level == cancelLevel {
-				cancel()
-			}
-		}
-		defer func() { testLevelHook = nil }()
-		res, err := Run(ctx, p, 5, Options{RunConfig: runctl.RunConfig{Workers: workers}})
+		res, err := Run(cancelAtLevel(t, 2), p, 5, Options{RunConfig: runctl.RunConfig{Workers: workers}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
 
-	two := runCanceled(2)
+	one := runCanceled(1)
 	four := runCanceled(4)
-	if !two.Truncated || !errors.Is(two.StopReason, runctl.ErrCanceled) {
-		t.Fatalf("truncated=%v stop=%v, want truncated with ErrCanceled", two.Truncated, two.StopReason)
+	if !one.Truncated || !errors.Is(one.StopReason, runctl.ErrCanceled) {
+		t.Fatalf("truncated=%v stop=%v, want truncated with ErrCanceled", one.Truncated, one.StopReason)
 	}
 	// No half-merged level: the same levels were merged regardless of the
 	// worker count, so the partial counts agree exactly.
-	sameCounts(t, four, two, "workers=4 vs workers=2")
+	sameCounts(t, four, one, "workers=4 vs workers=1")
 
 	full, err := Exhaustive(p, 5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if two.Unique <= 1 || two.Unique >= full.Unique {
-		t.Fatalf("partial Unique = %d, want in (1, %d)", two.Unique, full.Unique)
+	if one.Unique <= 1 || one.Unique >= full.Unique {
+		t.Fatalf("partial Unique = %d, want in (1, %d)", one.Unique, full.Unique)
 	}
 }
 
-// TestWorkerPanicRecovered injects a panic into one parallel worker and
-// asserts the run degrades gracefully: the panic is reported as a structured
-// WorkerError and the results stay bit-for-bit identical to Exhaustive.
+// forceSplit makes every level with at least as many states as workers
+// split across all of them, so small test runs exercise the multi-worker
+// reconcile; the default threshold is restored when the test ends.
+func forceSplit(t *testing.T) {
+	t.Helper()
+	minWorkerStates = 1
+	t.Cleanup(func() { minWorkerStates = defaultMinWorkerStates })
+}
+
+// TestWorkerPanicRecovered injects a panic into worker 0 — the one on the
+// calling goroutine — and asserts the run degrades gracefully: the panic
+// is reported as a structured WorkerError and the results stay bit-for-bit
+// identical to an undisturbed run, with one worker and with four.
 func TestWorkerPanicRecovered(t *testing.T) {
 	p := protocols.Illinois()
+	seq, err := Exhaustive(p, 4, Options{KeepReachable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forceSplit(t)
 	testWorkerHook = func(level, worker int) {
 		if level == 2 && worker == 0 {
 			panic("injected fault")
 		}
 	}
 	defer func() { testWorkerHook = nil }()
+	for _, workers := range []int{1, 4} {
+		par, err := ExhaustiveParallel(p, 4, Options{KeepReachable: true}, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRecovered(t, par, seq, fmt.Sprintf("workers=%d", workers))
+	}
+}
 
-	par, err := ExhaustiveParallel(p, 4, Options{KeepReachable: true}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := Exhaustive(p, 4, Options{KeepReachable: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+func checkRecovered(t *testing.T, par, seq *Result, label string) {
+	t.Helper()
 
 	if len(par.WorkerErrors) == 0 {
-		t.Fatal("injected panic was not recorded as a WorkerError")
+		t.Fatalf("%s: injected panic was not recorded as a WorkerError", label)
 	}
 	we := par.WorkerErrors[0]
 	if we.Level != 2 || we.Worker != 0 {
-		t.Fatalf("WorkerError at level %d worker %d, want 2/0", we.Level, we.Worker)
+		t.Fatalf("%s: WorkerError at level %d worker %d, want 2/0", label, we.Level, we.Worker)
 	}
 	if we.Value != "injected fault" || we.Stack == "" {
-		t.Fatalf("WorkerError value %q stack %d bytes", we.Value, len(we.Stack))
+		t.Fatalf("%s: WorkerError value %q stack %d bytes", label, we.Value, len(we.Stack))
 	}
 	if len(par.SpecErrors) != 0 {
-		t.Fatalf("sequential retry must absorb the panic, got SpecErrors %v", par.SpecErrors)
+		t.Fatalf("%s: the retry must absorb the panic, got SpecErrors %v", label, par.SpecErrors)
 	}
 
-	sameCounts(t, par, seq, "panicked parallel vs sequential")
+	sameCounts(t, par, seq, label+": panicked vs undisturbed")
 	if par.Truncated {
-		t.Fatal("recovered run must not be Truncated")
+		t.Fatalf("%s: recovered run must not be Truncated", label)
 	}
 	// Bit-for-bit: same distinct states in both runs.
 	keys := func(r *Result) map[string]bool {
@@ -209,49 +227,44 @@ func TestWorkerPanicRecovered(t *testing.T) {
 		return m
 	}
 	if !reflect.DeepEqual(keys(par), keys(seq)) {
-		t.Fatal("recovered parallel run reached a different state set than Exhaustive")
+		t.Fatalf("%s: recovered run reached a different state set than an undisturbed one", label)
 	}
 }
 
-// TestWorkerPanicEveryLevel stresses the recovery path: a worker panics on
-// every level and the run still completes with sequential-identical counts.
+// TestWorkerPanicEveryLevel stresses the recovery path: the last worker
+// of every level panics (worker 0 when there is only one) and the run
+// still completes with undisturbed counts.
 func TestWorkerPanicEveryLevel(t *testing.T) {
 	p := protocols.Illinois()
-	testWorkerHook = func(level, worker int) {
-		if worker == 1 {
-			panic(fmt.Sprintf("fault at level %d", level))
-		}
-	}
-	defer func() { testWorkerHook = nil }()
-
-	par, err := ExhaustiveParallel(p, 3, Options{}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	seq, err := Exhaustive(p, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameCounts(t, par, seq, "repeated panics vs sequential")
-	if len(par.WorkerErrors) == 0 || len(par.SpecErrors) != 0 {
-		t.Fatalf("worker errors %d, spec errors %v", len(par.WorkerErrors), par.SpecErrors)
+	forceSplit(t)
+	defer func() { testWorkerHook = nil }()
+	for _, workers := range []int{1, 3} {
+		testWorkerHook = func(level, worker int) {
+			if worker == workers-1 {
+				panic(fmt.Sprintf("fault at level %d", level))
+			}
+		}
+		par, err := ExhaustiveParallel(p, 3, Options{}, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameCounts(t, par, seq, fmt.Sprintf("workers=%d: repeated panics vs undisturbed", workers))
+		if len(par.WorkerErrors) == 0 || len(par.SpecErrors) != 0 {
+			t.Fatalf("workers=%d: worker errors %d, spec errors %v", workers, len(par.WorkerErrors), par.SpecErrors)
+		}
 	}
 }
 
-// TestCheckpointResumeSequential interrupts a sequential run, resumes it
+// TestCheckpointResumeSequential interrupts a one-worker run, resumes it
 // from the checkpoint, and asserts the final counts match an uninterrupted
 // run exactly.
 func TestCheckpointResumeSequential(t *testing.T) {
 	p := protocols.Illinois()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	testItemHook = func(expanded int) {
-		if expanded == 7 {
-			cancel()
-		}
-	}
-	partial, err := Run(ctx, p, 4, Options{RunConfig: runctl.RunConfig{CheckpointOnStop: true}})
-	testItemHook = nil
+	partial, err := Run(cancelAtLevel(t, 2), p, 4, Options{RunConfig: runctl.RunConfig{CheckpointOnStop: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,23 +288,16 @@ func TestCheckpointResumeSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameCounts(t, parRes, full, "sequential checkpoint resumed in parallel")
+	sameCounts(t, parRes, full, "one-worker checkpoint resumed at 3 workers")
 }
 
-// TestCheckpointResumeParallel interrupts the parallel engine at a level
-// boundary and resumes with both engines; each must reach the
-// uninterrupted counts.
+// TestCheckpointResumeParallel interrupts a four-worker run at a level
+// boundary and resumes it at one and at three workers; each must reach
+// the uninterrupted counts.
 func TestCheckpointResumeParallel(t *testing.T) {
 	p := protocols.MOESI()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	testLevelHook = func(level int) {
-		if level == 2 {
-			cancel()
-		}
-	}
-	partial, err := Run(ctx, p, 4, Options{Mode: ModeCounting, RunConfig: runctl.RunConfig{CheckpointOnStop: true, Workers: 4}})
-	testLevelHook = nil
+	forceSplit(t)
+	partial, err := Run(cancelAtLevel(t, 2), p, 4, Options{Mode: ModeCounting, RunConfig: runctl.RunConfig{CheckpointOnStop: true, Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,12 +316,12 @@ func TestCheckpointResumeParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameCounts(t, seqRes, full, "parallel checkpoint resumed sequentially")
+	sameCounts(t, seqRes, full, "4-worker checkpoint resumed at 1 worker")
 	parRes, err := Run(context.Background(), p, 0, Options{Resume: partial.Checkpoint, RunConfig: runctl.RunConfig{Workers: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameCounts(t, parRes, full, "parallel checkpoint resumed in parallel")
+	sameCounts(t, parRes, full, "4-worker checkpoint resumed at 3 workers")
 }
 
 // TestPeriodicCheckpointResume drives the OnCheckpoint hook and resumes
@@ -359,15 +365,7 @@ func TestOnCheckpointErrorAborts(t *testing.T) {
 
 func TestCheckpointFileRoundTrip(t *testing.T) {
 	p := protocols.Illinois()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	testItemHook = func(expanded int) {
-		if expanded == 4 {
-			cancel()
-		}
-	}
-	partial, err := Run(ctx, p, 3, Options{RunConfig: runctl.RunConfig{CheckpointOnStop: true}})
-	testItemHook = nil
+	partial, err := Run(cancelAtLevel(t, 1), p, 3, Options{RunConfig: runctl.RunConfig{CheckpointOnStop: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,15 +393,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 
 func TestResumeValidation(t *testing.T) {
 	p := protocols.Illinois()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	testItemHook = func(expanded int) {
-		if expanded == 3 {
-			cancel()
-		}
-	}
-	partial, err := Run(ctx, p, 3, Options{RunConfig: runctl.RunConfig{CheckpointOnStop: true}})
-	testItemHook = nil
+	partial, err := Run(cancelAtLevel(t, 1), p, 3, Options{RunConfig: runctl.RunConfig{CheckpointOnStop: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,5 +444,53 @@ func TestDecodeCheckpointRejectsGarbage(t *testing.T) {
 	}
 	if _, err := DecodeCheckpoint([]byte(`{"version": 42}`)); err == nil {
 		t.Fatal("wrong version accepted")
+	}
+}
+
+// TestResumeParentCheckpoint resumes checkpoints written by the
+// sequential queue loop that preceded the level-synchronous driver. That
+// loop stopped between single expansion steps, so its frontiers can span
+// two BFS levels: the Illinois snapshot was canceled after 7 expanded
+// states, the Dragon one is the second periodic snapshot of a strict run
+// with CheckpointEvery 16. Both must resume, at any worker count, to the
+// counts of an uninterrupted run.
+func TestResumeParentCheckpoint(t *testing.T) {
+	forceSplit(t)
+	for _, tc := range []struct {
+		file string
+		full func() (*Result, error)
+	}{
+		{"parent_illinois_n4_cancel7.ckpt", func() (*Result, error) {
+			return Exhaustive(protocols.Illinois(), 4, Options{})
+		}},
+		{"parent_dragon_n4_strict_every16.ckpt", func() (*Result, error) {
+			return Exhaustive(protocols.Dragon(), 4, Options{Strict: true})
+		}},
+	} {
+		full, err := tc.full()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 3} {
+			cp, err := LoadCheckpoint(filepath.Join("testdata", tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cp.Version != CheckpointVersion {
+				t.Fatalf("%s: version %d, want %d", tc.file, cp.Version, CheckpointVersion)
+			}
+			p, err := protocols.ByName(cp.Protocol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(context.Background(), p, 0, Options{Resume: cp, RunConfig: runctl.RunConfig{Workers: workers}})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.file, workers, err)
+			}
+			if res.Truncated {
+				t.Fatalf("%s workers=%d: resumed run stopped: %v", tc.file, workers, res.StopReason)
+			}
+			sameCounts(t, res, full, fmt.Sprintf("%s resumed at %d workers", tc.file, workers))
+		}
 	}
 }

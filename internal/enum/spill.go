@@ -6,26 +6,24 @@ import (
 	"path/filepath"
 
 	"repro/internal/ckptio"
-	"repro/internal/fsm"
 	"repro/internal/stateset"
 )
 
 // Out-of-core enumeration. When RunConfig.SpillDir is set together with
-// a memory budget, the parallel engine watches the estimated resident
-// footprint at every level boundary and, as it approaches the budget,
-// spills the entire resident visited and tuple sets to CRC-checked
-// files instead of stopping with ErrMemBudget. Spilled entries keep
-// their admission ranks, and the reconcile step filters each level's
-// pending successors against the spill files (delayed duplicate
-// detection, one file resident at a time), so the run's admissions —
-// and therefore its Result — stay bit-identical to an in-memory run.
-//
-// Only the parallel engine spills: it already batches dedup at level
-// boundaries, which is what makes one sequential pass per spill file
-// affordable. Run therefore selects the parallel driver whenever
-// SpillDir is set, with one worker if Workers asks for no more. Spilling
-// requires the packed key codec (the compact store); runs the codec
-// cannot pack fall back to in-memory maps and the plain memory budget.
+// a memory budget, the driver watches the estimated resident footprint
+// at every level boundary and, as it approaches the budget, spills the
+// entire resident visited and tuple sets to CRC-checked files instead of
+// stopping with ErrMemBudget. Spilled entries keep their admission
+// ranks, and the reconcile step checks each level's candidates against
+// the spill files (delayed duplicate detection, one file resident at a
+// time), so the run's admissions — and therefore its Result — stay
+// bit-identical to an in-memory run at any worker count. The driver
+// already batches dedup at level boundaries, which is what makes one
+// sequential pass per spill file affordable; the frontier carries its
+// states' admission ranks, so provenance never has to look up a parent
+// that was spilled. Spilling requires the packed key codec (the compact
+// store); runs the codec cannot pack fall back to in-memory maps and the
+// plain memory budget.
 
 // spillState tracks one run's spill files.
 type spillState struct {
@@ -41,10 +39,10 @@ type spillState struct {
 	seq          int
 }
 
-// initSpill arms out-of-core mode for a parallel run when configured
-// and supported; it verifies the directory is writable up front so
+// initSpill arms out-of-core mode for a run when configured and
+// supported; it verifies the directory is writable up front so
 // misconfiguration fails the run at level 0, not mid-exploration.
-func (b *bfs) initSpill(frontier []*fsm.Config) error {
+func (b *bfs) initSpill() error {
 	if b.opts.SpillDir == "" || b.opts.Budget.MaxBytes <= 0 {
 		return nil
 	}
@@ -74,16 +72,6 @@ func (b *bfs) initSpill(frontier []*fsm.Config) error {
 	b.spill = &spillState{
 		dir:       b.opts.SpillDir,
 		threshold: b.opts.Budget.MaxBytes - b.opts.Budget.MaxBytes/4,
-	}
-	// Rank lookups for provenance cannot read spilled entries, so the
-	// current frontier's ranks are pinned in memory across levels (the
-	// only parents a level references are its own frontier).
-	b.frontRanks = make(map[Key]uint32, len(frontier))
-	for _, c := range frontier {
-		k := b.kc.key(c)
-		if r, ok := b.visited.rank(k); ok {
-			b.frontRanks[k] = r
-		}
 	}
 	return nil
 }
@@ -141,49 +129,38 @@ func loadSpillBlob(path string) (*stateset.BlobReader, error) {
 }
 
 // spillFilter performs the delayed duplicate detection of out-of-core
-// BFS: it drops pending admissions whose key lives in a spill file and
-// marks entries whose state tuple is already in the spilled tuple
-// census. One file is resident at a time, so the transient memory is
-// bounded by the largest single spill. The surviving entries, still in
-// rank order, are exactly the set an in-memory run would admit.
-func (b *bfs) spillFilter(entries []*pendEntry) ([]*pendEntry, error) {
+// BFS: it marks the level's candidates whose key lives in a spill file
+// as spilled, and those whose state tuple is already in the spilled
+// tuple census as tupleDup. One file is resident at a time, so the
+// transient memory is bounded by the largest single spill. The
+// unmarked candidates are exactly the ones an in-memory run would keep.
+func (b *bfs) spillFilter(work []levelWork) error {
 	sp := b.spill
-	if sp == nil || (len(sp.visitedFiles) == 0 && len(sp.tupleFiles) == 0) || len(entries) == 0 {
-		return entries, nil
+	if sp == nil {
+		return nil
 	}
-	for _, path := range sp.visitedFiles {
-		br, err := loadSpillBlob(path)
-		if err != nil {
-			return nil, err
-		}
-		for i, e := range entries {
-			if e == nil {
-				continue
+	mark := func(files []string, f func(br *stateset.BlobReader, c *candidate)) error {
+		for _, path := range files {
+			br, err := loadSpillBlob(path)
+			if err != nil {
+				return err
 			}
-			if br.Has(keyBytes(&e.it.key, b.n)) {
-				releaseConfig(e.it.cfg)
-				entries[i] = nil
+			for w := range work {
+				for i := range work[w].cands {
+					f(br, &work[w].cands[i])
+				}
 			}
 		}
+		return nil
 	}
-	for _, path := range sp.tupleFiles {
-		br, err := loadSpillBlob(path)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range entries {
-			if e != nil && !e.it.tupleDup && br.Has(keyBytes(&e.it.tuple, b.n)) {
-				e.it.tupleDup = true
-			}
-		}
+	if err := mark(sp.visitedFiles, func(br *stateset.BlobReader, c *candidate) {
+		c.spilled = c.spilled || br.Has(keyBytes(&c.key, b.n))
+	}); err != nil {
+		return err
 	}
-	out := entries[:0]
-	for _, e := range entries {
-		if e != nil {
-			out = append(out, e)
-		}
-	}
-	return out, nil
+	return mark(sp.tupleFiles, func(br *stateset.BlobReader, c *candidate) {
+		c.tupleDup = c.tupleDup || br.Has(keyBytes(&c.tuple, b.n))
+	})
 }
 
 // forEachSpilled streams every entry of the given spill files through f

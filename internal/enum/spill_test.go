@@ -138,8 +138,8 @@ func TestSpillEnumerationBitIdentical(t *testing.T) {
 	if spilled.Truncated {
 		t.Fatalf("spilling run truncated: %v", spilled.StopReason)
 	}
-	// SpillDir alone selects the parallel driver, which owns spilling: a
-	// one-worker run spills too and reaches the same result.
+	// Spilling works at every worker count: a one-worker run spills too
+	// and reaches the same result.
 	dir1 := t.TempDir()
 	one, err := Run(context.Background(), p, n, Options{
 		Strict:    true,

@@ -13,9 +13,8 @@ import (
 // checkpoints reference, so states can be identified by a 4-byte index
 // instead of a full Key.
 //
-// Reads (has/rank) are safe concurrently between mutations — the
-// parallel workers dedup lock-free against the committed set during a
-// level, exactly as they did against the old Go map.
+// Reads (has/rank) are safe concurrently between mutations — the level
+// workers dedup lock-free against the committed set during a level.
 type visitedStore interface {
 	has(k Key) bool
 	rank(k Key) (uint32, bool)
@@ -35,6 +34,8 @@ type visitedStore interface {
 	// restore re-adds the entries of a blob produced by spill with
 	// their original ranks, rolling back a failed spill write.
 	restore(blob []byte) error
+	// reset empties the store for reuse, keeping its capacity.
+	reset()
 }
 
 // parentRec is the provenance of one admitted state, indexed by its
@@ -53,15 +54,20 @@ const noParent = ^uint32(0)
 // parentRecBytes is the slice cost per provenance record.
 const parentRecBytes = 8
 
-// newStores picks the visited and tuple store implementation for a run:
-// the compact hash-indexed set when the codec packs keys into fixed-width
-// bytes, the map fallback otherwise (huge n or state alphabets, where keys
-// carry heap strings a flat slab cannot hold).
-func newStores(kc *keyCodec, n int) (visited, tuples visitedStore) {
+// newStore picks the store implementation for a run: the compact
+// hash-indexed set when the codec packs keys into fixed-width bytes, the
+// map fallback otherwise (huge n or state alphabets, where keys carry
+// heap strings a flat slab cannot hold).
+func newStore(kc *keyCodec, n int) visitedStore {
 	if kc.packed {
-		return newCompactStore(n), newCompactStore(n)
+		return newCompactStore(n)
 	}
-	return newMapStore(), newMapStore()
+	return newMapStore()
+}
+
+// newStores returns a run's visited and tuple stores.
+func newStores(kc *keyCodec, n int) (visited, tuples visitedStore) {
+	return newStore(kc, n), newStore(kc, n)
 }
 
 // buildOpIndex maps each operation to its index in p.Ops for the uint8
@@ -120,6 +126,8 @@ func (cs *compactStore) spill() []byte { return cs.set.Spill() }
 
 func (cs *compactStore) restore(blob []byte) error { return cs.set.Restore(blob) }
 
+func (cs *compactStore) reset() { cs.set.Reset() }
+
 // mapStore is the fallback for runs the codec cannot pack. Same
 // interface, classic map + slice layout, no spill support.
 type mapStore struct {
@@ -169,6 +177,11 @@ func (ms *mapStore) forEach(f func(k Key, rank uint32)) {
 }
 
 func (ms *mapStore) spill() []byte { return nil }
+
+func (ms *mapStore) reset() {
+	clear(ms.ranks)
+	ms.keys, ms.strBytes = ms.keys[:0], 0
+}
 
 func (ms *mapStore) restore([]byte) error {
 	return fmt.Errorf("enum: map-backed visited store cannot restore a spill blob")

@@ -13,7 +13,7 @@ import "repro/internal/obs"
 //		Metrics: reg,
 //	}}
 //
-// The zero value runs unbounded, sequential and unobserved.
+// The zero value runs unbounded, with one worker and unobserved.
 type RunConfig struct {
 	// Budget bounds the run (wall clock, states, estimated bytes); the zero
 	// Budget is unlimited.
@@ -27,23 +27,24 @@ type RunConfig struct {
 	// many expanded states through the engine's checkpoint callback
 	// (enum.Options.OnCheckpoint / symbolic.Options.OnCheckpoint — the
 	// callback stays on the engine's Options because the checkpoint types
-	// differ).
+	// differ). The enumeration counts expanded frontier states and takes
+	// the snapshot at the next BFS level boundary.
 	CheckpointEvery int
 
-	// Workers picks the driver of enum.Run and symbolic.Engine.Run: a
-	// value above 1 runs the engine's parallel driver with that many
-	// workers, and 0 or 1 runs its sequential loop. Both drivers produce
-	// bit-identical results.
+	// Workers is the parallel width. enum.Run expands each BFS level with
+	// up to that many workers (0 or 1: one worker, on the calling
+	// goroutine). symbolic.Engine.Run runs its parallel driver for a value
+	// above 1 and its sequential loop otherwise. Results are bit-identical
+	// at every width.
 	Workers int
 
 	// SpillDir, when set together with Budget.MaxBytes, lets engines with
-	// out-of-core support (the parallel enumeration) spill cold visited-set
-	// shards to CRC-checked files under this directory once the estimated
-	// resident bytes approach the budget, instead of stopping with
-	// ErrMemBudget. Spilled entries are streamed back for deduplication at
-	// level boundaries, so results stay bit-identical to an in-memory run.
-	// Setting it makes enum.Run use its parallel driver, which owns
-	// spilling, even at Workers 0 or 1. The symbolic engine ignores it.
+	// out-of-core support (the enumeration, at any Workers value) spill
+	// cold visited-set shards to CRC-checked files under this directory
+	// once the estimated resident bytes approach the budget, instead of
+	// stopping with ErrMemBudget. Spilled entries are streamed back for
+	// deduplication at level boundaries, so results stay bit-identical to
+	// an in-memory run. The symbolic engine ignores it.
 	SpillDir string
 
 	// Observer receives phase/level/event callbacks during the run; nil

@@ -136,6 +136,14 @@ func (s *Set) ForEach(f func(key []byte, rank uint32)) {
 	forEachEntry(s.slab, s.width, s.esize, f)
 }
 
+// Reset empties the set for reuse, keeping the capacity of its slab and
+// index.
+func (s *Set) Reset() {
+	s.count = 0
+	s.slab = s.slab[:0]
+	clear(s.index)
+}
+
 // Spill serializes every resident entry into a self-describing sorted
 // blob, drops them from memory, and returns the blob. Ranks keep
 // increasing across spills, so a key's rank is unique over the union of
