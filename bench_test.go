@@ -314,7 +314,7 @@ func BenchmarkParallelEnumeration(b *testing.B) {
 // BenchmarkScalingSynthetic — E11: symbolic verification cost as the number
 // of per-cache states grows (the paper's "more complex protocols" claim).
 func BenchmarkScalingSynthetic(b *testing.B) {
-	for _, k := range []int{2, 4, 8, 16} {
+	for _, k := range []int{2, 4, 8, 16, 24} {
 		k := k
 		b.Run(fmt.Sprintf("levels=%d", k), func(b *testing.B) {
 			p, err := protocols.Synthetic(k)
@@ -322,6 +322,7 @@ func BenchmarkScalingSynthetic(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
+			visits := 0
 			for i := 0; i < b.N; i++ {
 				res, err := symbolic.Expand(p, symbolic.Options{})
 				if err != nil {
@@ -330,7 +331,9 @@ func BenchmarkScalingSynthetic(b *testing.B) {
 				if !res.OK() {
 					b.Fatal("verification failed")
 				}
+				visits += res.Visits
 			}
+			b.ReportMetric(float64(visits)/b.Elapsed().Seconds(), "visits/s")
 		})
 	}
 }

@@ -104,6 +104,13 @@ type Protocol struct {
 	HasExclusive   bool
 	HasOwners      bool
 	HasCleanShared bool
+	// ExclusiveList etc. hold the same sets as state indexes in declaration
+	// order, duplicates kept: the symbolic invariant check walks them and
+	// reports violations in that order.
+	ExclusiveList   []int32
+	OwnerList       []int32
+	ReadableList    []int32
+	CleanSharedList []int32
 
 	// opIsRead[k] reports Ops[k] == fsm.OpRead (the read-version probe of
 	// StepResult applies only to reads).
@@ -149,6 +156,10 @@ func Compile(p *fsm.Protocol) (*Protocol, error) {
 	cp.HasExclusive = len(p.Inv.Exclusive) > 0
 	cp.HasOwners = len(p.Inv.Owners) > 0
 	cp.HasCleanShared = len(p.Inv.CleanShared) > 0
+	cp.ExclusiveList = cp.stateList(p.Inv.Exclusive)
+	cp.OwnerList = cp.stateList(p.Inv.Owners)
+	cp.ReadableList = cp.stateList(p.Inv.Readable)
+	cp.CleanSharedList = cp.stateList(p.Inv.CleanShared)
 
 	validCount := 0
 	for _, v := range cp.ValidCopy {
@@ -204,6 +215,15 @@ func (cp *Protocol) stateSet(states []fsm.State) []bool {
 	out := make([]bool, cp.NumStates)
 	for _, s := range states {
 		out[cp.stateIdx[s]] = true
+	}
+	return out
+}
+
+// stateList resolves a state list to indexes, keeping order and duplicates.
+func (cp *Protocol) stateList(states []fsm.State) []int32 {
+	out := make([]int32, len(states))
+	for i, s := range states {
+		out[i] = cp.stateIdx[s]
 	}
 	return out
 }

@@ -25,6 +25,29 @@ func TestCheckPermissibleStates(t *testing.T) {
 	}
 }
 
+// TestCheckCleanStateAllocFree pins the invariant check's hot path: the
+// invariant sets are resolved to state indexes once, in NewEngine, so
+// checking a state with no violation allocates nothing.
+func TestCheckCleanStateAllocFree(t *testing.T) {
+	e := illinoisEngine(t)
+	res := e.Expand(Options{Strict: true})
+	if !res.OK() || len(res.Essential) == 0 {
+		t.Fatalf("Illinois must verify cleanly: %d violations, %d essential", len(res.Violations), len(res.Essential))
+	}
+	for _, strict := range []bool{false, true} {
+		allocs := testing.AllocsPerRun(100, func() {
+			for _, s := range res.Essential {
+				if e.Check(s, strict) != nil {
+					t.Fatal("clean state flagged")
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("strict=%t: Check on clean states allocates %.1f times per pass, want 0", strict, allocs)
+		}
+	}
+}
+
 func TestCheckTwoDirtyCopies(t *testing.T) {
 	e := illinoisEngine(t)
 	s := mk(t, e,

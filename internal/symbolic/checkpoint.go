@@ -105,17 +105,15 @@ func (lr LabelRef) label() Label {
 }
 
 func cstateData(s *CState) CStateData {
+	n := s.NumClasses()
 	d := CStateData{
-		Reps:  make([]int, len(s.reps)),
-		Cdata: make([]int, len(s.cdata)),
+		Reps:  make([]int, n),
+		Cdata: make([]int, n),
 		Attr:  int(s.attr),
 		Mdata: int(s.mdata),
 	}
-	for i, r := range s.reps {
-		d.Reps[i] = int(r)
-	}
-	for i, c := range s.cdata {
-		d.Cdata[i] = int(c)
+	for i := 0; i < n; i++ {
+		d.Reps[i], d.Cdata[i] = int(s.Rep(i)), int(s.CData(i))
 	}
 	return d
 }
@@ -159,7 +157,7 @@ func (x *expander) snapshot() *Checkpoint {
 		Visits:        x.res.Visits,
 		Expansions:    x.res.Expansions,
 		Superseded:    x.res.Superseded,
-		Parents:       make(map[string]ParentRef, len(x.parents)),
+		Parents:       make(map[string]ParentRef, len(x.recs)),
 	}
 
 	// Intern every referenced state into a key-sorted table.
@@ -175,8 +173,8 @@ func (x *expander) snapshot() *Checkpoint {
 	for _, s := range x.hist {
 		add(s)
 	}
-	for _, pi := range x.parents {
-		add(pi.parent)
+	for _, r := range x.recs {
+		add(r.parent)
 	}
 	for _, v := range x.res.Violations {
 		add(v.State)
@@ -207,16 +205,16 @@ func (x *expander) snapshot() *Checkpoint {
 	for _, s := range x.hist {
 		cp.Hist = append(cp.Hist, ref(s))
 	}
-	for k, pi := range x.parents {
-		cp.Parents[k] = ParentRef{Parent: ref(pi.parent), Label: labelRef(pi.label)}
-	}
-	for k := range x.reported {
-		cp.Reported = append(cp.Reported, k)
+	for k, r := range x.recs {
+		cp.Parents[k] = ParentRef{Parent: ref(r.parent), Label: labelRef(r.label)}
+		if r.reported {
+			cp.Reported = append(cp.Reported, k)
+		}
+		if r.queued {
+			cp.SeenKeys = append(cp.SeenKeys, k)
+		}
 	}
 	sort.Strings(cp.Reported)
-	for k := range x.seenKeys {
-		cp.SeenKeys = append(cp.SeenKeys, k)
-	}
 	sort.Strings(cp.SeenKeys)
 	for _, v := range x.res.Violations {
 		vr := ViolationRef{State: ref(v.State)}
@@ -327,21 +325,29 @@ func (e *Engine) resumeExpander(opts Options) (*expander, error) {
 		x.pushHist(s)
 	}
 	for k, pr := range cp.Parents {
-		pi := parentInfo{label: pr.Label.label()}
+		var parent *CState
 		if pr.Parent >= 0 {
 			s, err := lookup(pr.Parent, "parent map")
 			if err != nil {
 				return nil, err
 			}
-			pi.parent = s
+			parent = s
 		}
-		x.parents[k] = pi
+		x.record(k, parent, pr.Label.label())
 	}
 	for _, k := range cp.Reported {
-		x.reported[k] = true
+		r := x.recs[k]
+		if r == nil {
+			return nil, fmt.Errorf("symbolic: checkpoint reported key %q is missing from the parent map", k)
+		}
+		r.reported = true
 	}
 	for _, k := range cp.SeenKeys {
-		x.seenKeys[k] = struct{}{}
+		r := x.recs[k]
+		if r == nil {
+			return nil, fmt.Errorf("symbolic: checkpoint seen key %q is missing from the parent map", k)
+		}
+		r.queued = true
 	}
 	for _, vr := range cp.Violations {
 		s, err := lookup(vr.State, "violation")

@@ -233,19 +233,19 @@ func satur(x int) int {
 	return x
 }
 
-// counts returns the Count classifications compatible with the interval.
-func (a ival) counts() []Count {
-	var out []Count
+// appendCounts appends the Count classifications compatible with the
+// interval to dst, in increasing order.
+func (a ival) appendCounts(dst []Count) []Count {
 	if a.lo <= 0 && a.hi >= 0 {
-		out = append(out, CountZero)
+		dst = append(dst, CountZero)
 	}
 	if a.lo <= 1 && a.hi >= 1 {
-		out = append(out, CountOne)
+		dst = append(dst, CountOne)
 	}
 	if a.hi >= manyCount {
-		out = append(out, CountMany)
+		dst = append(dst, CountMany)
 	}
-	return out
+	return dst
 }
 
 // Data is an abstract data value of a context variable (Definition 4 and
@@ -286,9 +286,6 @@ func mergeData(a, b Data) Data {
 	if a == DNone || b == DNone {
 		// Pooling fresh with nodata can only happen in ill-formed
 		// (mutated) protocols; keep the anomaly visible.
-		if a == DFresh || b == DFresh {
-			return DNone
-		}
 		return DNone
 	}
 	return DFresh
@@ -320,6 +317,11 @@ func (d Data) LE(e Data) bool {
 // attribute, and the memory context variable. CStates are immutable after
 // construction; share them freely.
 //
+// The canonical key is the state's only copy of its component vectors: two
+// bytes per class ('0'+rep, 'a'+cdata), then '|', '0'+attr and 'a'+mdata.
+// Rep and CData decode it, so a state costs two allocations, the struct
+// and the key.
+//
 // For protocols with at most 64 state symbols (all of them, in practice)
 // the constructor also derives bitmask summaries of the two component
 // vectors, one bit per state symbol. They turn the containment tests of
@@ -327,11 +329,9 @@ func (d Data) LE(e Data) bool {
 // a handful of word operations, and give the containment index its
 // structural signature (occAll).
 type CState struct {
-	reps  []Rep
-	cdata []Data
+	key   string
 	attr  Count
 	mdata Data
-	key   string
 
 	// masked reports that the bitmask summaries below are valid.
 	masked bool
@@ -355,40 +355,41 @@ func (s *CState) Attr() Count { return s.attr }
 func (s *CState) MData() Data { return s.mdata }
 
 // Rep returns the repetition operator of state index i.
-func (s *CState) Rep(i int) Rep { return s.reps[i] }
+func (s *CState) Rep(i int) Rep { return Rep(s.key[2*i] - '0') }
 
 // CData returns the context variable of state index i.
-func (s *CState) CData(i int) Data { return s.cdata[i] }
+func (s *CState) CData(i int) Data { return Data(s.key[2*i+1] - 'a') }
 
-// NumClasses returns the number of state symbols (|Q|).
-func (s *CState) NumClasses() int { return len(s.reps) }
+// NumClasses returns the number of state symbols (|Q|): the key holds two
+// bytes per class plus three trailing bytes.
+func (s *CState) NumClasses() int { return len(s.key)/2 - 1 }
 
-func buildKey(reps []Rep, cdata []Data, attr Count, mdata Data) string {
-	var b strings.Builder
-	b.Grow(2*len(reps) + 4)
+// appendKey appends the canonical key of the given components to dst.
+func appendKey(dst []byte, reps []Rep, cdata []Data, attr Count, mdata Data) []byte {
 	for i, r := range reps {
-		b.WriteByte('0' + byte(r))
-		b.WriteByte('a' + byte(cdata[i]))
+		dst = append(dst, '0'+byte(r), 'a'+byte(cdata[i]))
 	}
-	b.WriteByte('|')
-	b.WriteByte('0' + byte(attr))
-	b.WriteByte('a' + byte(mdata))
-	return b.String()
+	return append(dst, '|', '0'+byte(attr), 'a'+byte(mdata))
 }
 
+// newCState builds the composite state of the given components; it
+// retains none of its arguments.
 func newCState(reps []Rep, cdata []Data, attr Count, mdata Data) *CState {
-	s := &CState{
-		reps:  reps,
-		cdata: cdata,
-		attr:  attr,
-		mdata: mdata,
-		key:   buildKey(reps, cdata, attr, mdata),
-	}
-	if len(reps) <= 64 {
+	var buf [2*64 + 3]byte
+	return stateFromKey(string(appendKey(buf[:0], reps, cdata, attr, mdata)))
+}
+
+// stateFromKey builds the composite state a canonical key encodes.
+func stateFromKey(key string) *CState {
+	s := &CState{key: key}
+	n := s.NumClasses()
+	s.attr = Count(key[2*n+1] - '0')
+	s.mdata = Data(key[2*n+2] - 'a')
+	if n <= 64 {
 		s.masked = true
-		for i, r := range reps {
+		for i := 0; i < n; i++ {
 			bit := uint64(1) << i
-			switch r {
+			switch s.Rep(i) {
 			case ROne:
 				s.maskOne |= bit
 			case RPlus:
@@ -396,7 +397,7 @@ func newCState(reps []Rep, cdata []Data, attr Count, mdata Data) *CState {
 			case RStar:
 				s.maskStar |= bit
 			}
-			switch cdata[i] {
+			switch s.CData(i) {
 			case DFresh:
 				s.cdFresh |= bit
 			case DNone:
@@ -415,11 +416,10 @@ func newCState(reps []Rep, cdata []Data, attr Count, mdata Data) *CState {
 // "(Shared+, Invalid*)".
 func (s *CState) StructureString(p *fsm.Protocol) string {
 	var parts []string
-	for i, r := range s.reps {
-		if r == RZero {
-			continue
+	for i := 0; i < s.NumClasses(); i++ {
+		if r := s.Rep(i); r != RZero {
+			parts = append(parts, string(p.States[i])+r.Suffix())
 		}
-		parts = append(parts, string(p.States[i])+r.Suffix())
 	}
 	if len(parts) == 0 {
 		return "(empty)"
@@ -431,11 +431,10 @@ func (s *CState) StructureString(p *fsm.Protocol) string {
 // "cdata=(Shared:fresh) mdata=fresh copies≥2".
 func (s *CState) ContextString(p *fsm.Protocol) string {
 	var parts []string
-	for i, r := range s.reps {
-		if r == RZero {
-			continue
+	for i := 0; i < s.NumClasses(); i++ {
+		if s.Rep(i) != RZero {
+			parts = append(parts, fmt.Sprintf("%s:%s", p.States[i], s.CData(i)))
 		}
-		parts = append(parts, fmt.Sprintf("%s:%s", p.States[i], s.cdata[i]))
 	}
 	out := "cdata=(" + strings.Join(parts, ", ") + ") mdata=" + s.mdata.String()
 	if s.attr != CountNull {
@@ -453,7 +452,7 @@ func (s *CState) ContextString(p *fsm.Protocol) string {
 // least plus, small's singletons are occupied, and big has no definite
 // class (1 or +) where small is empty.
 func Covers(big, small *CState) bool {
-	if len(big.reps) != len(small.reps) {
+	if len(big.key) != len(small.key) {
 		return false
 	}
 	if big.masked && small.masked {
@@ -462,8 +461,8 @@ func Covers(big, small *CState) bool {
 			small.maskOne&^big.occAll == 0 &&
 			(big.maskOne|big.maskPlus)&^small.occAll == 0
 	}
-	for i := range small.reps {
-		if !small.reps[i].LE(big.reps[i]) {
+	for i := 0; i < small.NumClasses(); i++ {
+		if !small.Rep(i).LE(big.Rep(i)) {
 			return false
 		}
 	}
@@ -491,8 +490,8 @@ func Contains(big, small *CState) bool {
 		diff := (small.cdFresh ^ big.cdFresh) | (small.cdNone ^ big.cdNone)
 		return small.occAll&diff&^big.cdObs == 0
 	}
-	for i := range small.reps {
-		if small.reps[i] != RZero && !small.cdata[i].LE(big.cdata[i]) {
+	for i := 0; i < small.NumClasses(); i++ {
+		if small.Rep(i) != RZero && !small.CData(i).LE(big.CData(i)) {
 			return false
 		}
 	}

@@ -161,19 +161,19 @@ func TestIvalArithmetic(t *testing.T) {
 }
 
 func TestIvalCounts(t *testing.T) {
-	cs := (ival{0, 2}).counts()
+	cs := (ival{0, 2}).appendCounts(nil)
 	if len(cs) != 3 || cs[0] != CountZero || cs[1] != CountOne || cs[2] != CountMany {
 		t.Errorf("counts(0..≥2) = %v", cs)
 	}
-	cs = (ival{1, 1}).counts()
+	cs = (ival{1, 1}).appendCounts(nil)
 	if len(cs) != 1 || cs[0] != CountOne {
 		t.Errorf("counts(1) = %v", cs)
 	}
-	cs = (ival{2, 2}).counts()
+	cs = (ival{2, 2}).appendCounts(nil)
 	if len(cs) != 1 || cs[0] != CountMany {
 		t.Errorf("counts(≥2) = %v", cs)
 	}
-	cs = (ival{1, 2}).counts()
+	cs = (ival{1, 2}).appendCounts(nil)
 	if len(cs) != 2 || cs[0] != CountOne || cs[1] != CountMany {
 		t.Errorf("counts(1..≥2) = %v", cs)
 	}

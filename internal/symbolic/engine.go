@@ -12,11 +12,16 @@ import (
 // transitions, one-step transitions and the N-steps transitions, the latter
 // via abstract copy-count arithmetic plus containment pruning).
 type Engine struct {
-	p     *fsm.Protocol
-	n     int
-	valid []bool
+	p *fsm.Protocol
+	n int
+	// initial is the per-cache initial state index.
+	initial int
+	valid   []bool
 	// validIdxs caches the indexes of the valid-copy states.
 	validIdxs []int
+	// exclusive, owners, readable and cleanShared are Check's invariant
+	// sets as state indexes, in declaration order.
+	exclusive, owners, readable, cleanShared []int
 	// tabs and eventTabs pre-resolve every state-name lookup a rule needs
 	// (observed targets, next state, suppliers, guard set) into integer
 	// indexes. The expansion inner loops run entirely on these tables; the
@@ -52,24 +57,34 @@ func NewEngine(p *fsm.Protocol) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := newEngineShell(p)
+	e := newEngineShell(cp)
 	e.buildTablesCompiled(cp)
 	return e, nil
 }
 
-// newEngineShell builds the engine sans rule tables.
-func newEngineShell(p *fsm.Protocol) *Engine {
-	e := &Engine{p: p, n: p.NumStates()}
-	e.valid = make([]bool, e.n)
-	for _, s := range p.Inv.ValidCopy {
-		e.valid[p.StateIndex(s)] = true
-	}
+// newEngineShell builds the engine sans rule tables: the valid-copy set,
+// the initial state and the invariant sets, all as state indexes taken
+// from the compiled protocol.
+func newEngineShell(cp *compile.Protocol) *Engine {
+	e := &Engine{p: cp.Src, n: cp.NumStates, initial: int(cp.Initial), valid: cp.ValidCopy}
 	for i, v := range e.valid {
 		if v {
 			e.validIdxs = append(e.validIdxs, i)
 		}
 	}
+	e.exclusive = indexList(cp.ExclusiveList)
+	e.owners = indexList(cp.OwnerList)
+	e.readable = indexList(cp.ReadableList)
+	e.cleanShared = indexList(cp.CleanSharedList)
 	return e
+}
+
+func indexList(l []int32) []int {
+	out := make([]int, len(l))
+	for i, v := range l {
+		out[i] = int(v)
+	}
+	return out
 }
 
 // buildTablesCompiled populates tabs and eventTabs from the compiled
@@ -143,12 +158,14 @@ func (e *Engine) buildTablesInterpreted() {
 }
 
 // newEngineInterpreted is NewEngine over the interpreted table builder;
-// test-only parity oracle.
+// test-only parity oracle. Only the rule tables are interpreted; the shell
+// still comes from the compiled protocol.
 func newEngineInterpreted(p *fsm.Protocol) (*Engine, error) {
-	if err := p.Validate(); err != nil {
+	cp, err := compile.Compile(p) // validates p
+	if err != nil {
 		return nil, err
 	}
-	e := newEngineShell(p)
+	e := newEngineShell(cp)
 	e.buildTablesInterpreted()
 	return e, nil
 }
@@ -161,7 +178,7 @@ func (e *Engine) Protocol() *fsm.Protocol { return e.p }
 func (e *Engine) Initial() *CState {
 	reps := make([]Rep, e.n)
 	cdata := make([]Data, e.n)
-	reps[e.p.StateIndex(e.p.Initial)] = RPlus
+	reps[e.initial] = RPlus
 	attr := CountNull
 	if e.p.Characteristic == fsm.CharSharing {
 		attr = CountZero
@@ -224,11 +241,85 @@ type scenario struct {
 	origData   Data
 }
 
-func (sc *scenario) clone() *scenario {
-	c := *sc
-	c.rem = append([]Rep(nil), sc.rem...)
-	c.cdata = append([]Data(nil), sc.cdata...)
-	return &c
+// scratch is the reusable working memory of successor construction: the
+// scenarios of one event's guard cascade and supplier choice, the
+// cascade's worklists, and the vectors one successor is pooled and
+// canonicalized in. Every goroutine that expands states owns one — the
+// sequential driver, each speculation worker, each Successors call — and
+// the Engine, which the workers share, holds none. The zero value is ready
+// to use; a scratch serves one engine.
+type scratch struct {
+	// scs is the scenario pool; scs[:used] are live in the current event.
+	scs  []*scenario
+	used int
+
+	picks          []pick
+	pending, still []*scenario
+	trues          []*scenario
+	stars          []int
+	counts         []Count
+
+	// reps, data and contrib pool the classes of one successor; r2 and d2
+	// are the copy canonicalize rewrites, and key is its canonical key.
+	reps    []Rep
+	data    []Data
+	contrib []bool
+	r2      []Rep
+	d2      []Data
+	key     []byte
+}
+
+// pick is a guard-resolved scenario with the rule that fires in it.
+type pick struct {
+	sc   *scenario
+	rule *ruleTab
+}
+
+// scenario returns a pooled scenario with n-class vectors; its fields are
+// stale and must all be set by the caller.
+func (x *scratch) scenario(n int) *scenario {
+	if x.used == len(x.scs) {
+		x.scs = append(x.scs, &scenario{rem: make([]Rep, n), cdata: make([]Data, n)})
+	}
+	sc := x.scs[x.used]
+	x.used++
+	return sc
+}
+
+// clone returns a pooled copy of sc.
+func (x *scratch) clone(sc *scenario) *scenario {
+	c := x.scenario(len(sc.rem))
+	rem, cdata := c.rem, c.cdata
+	*c = *sc
+	c.rem, c.cdata = rem, cdata
+	copy(c.rem, sc.rem)
+	copy(c.cdata, sc.cdata)
+	return c
+}
+
+// match records sc as a scenario in which tab's guard holds.
+func (x *scratch) match(sc *scenario, tab *ruleTab) {
+	if sc != nil {
+		x.picks = append(x.picks, pick{sc, tab})
+	}
+}
+
+// miss records sc as a scenario the next rule of the cascade must decide.
+func (x *scratch) miss(sc *scenario) {
+	if sc != nil {
+		x.still = append(x.still, sc)
+	}
+}
+
+// vectors sizes and clears the successor vectors for n classes.
+func (x *scratch) vectors(n int) {
+	if len(x.reps) != n {
+		x.reps, x.data, x.contrib = make([]Rep, n), make([]Data, n), make([]bool, n)
+		x.r2, x.d2 = make([]Rep, n), make([]Data, n)
+	}
+	clear(x.reps)
+	clear(x.data)
+	clear(x.contrib)
 }
 
 // feasible checks the scenario's class operators against its copy-count
@@ -287,10 +378,11 @@ func (e *Engine) propagate(sc *scenario) bool {
 // available supplier) are returned as errors alongside the successors that
 // could be generated; they indicate an ill-formed protocol definition.
 func (e *Engine) Successors(s *CState) ([]Succ, []error) {
+	var x scratch
 	var out []Succ
 	var errs []error
 	for oi := 0; oi < e.n; oi++ {
-		if !s.reps[oi].CanBePositive() {
+		if !s.Rep(oi).CanBePositive() {
 			continue
 		}
 		for k, op := range e.p.Ops {
@@ -298,8 +390,8 @@ func (e *Engine) Successors(s *CState) ([]Succ, []error) {
 			if len(rules) == 0 {
 				continue
 			}
-			succs, err := e.expandEvent(s, oi, op, rules)
-			out = append(out, succs...)
+			var err error
+			out, err = e.expandEvent(&x, out, s, oi, op, rules)
 			if err != nil {
 				errs = append(errs, err)
 			}
@@ -308,124 +400,105 @@ func (e *Engine) Successors(s *CState) ([]Succ, []error) {
 	return out, errs
 }
 
-// expandEvent applies operation op originated by a cache in class oi.
-func (e *Engine) expandEvent(s *CState, oi int, op fsm.Op, rules []*ruleTab) ([]Succ, error) {
+// expandEvent applies operation op originated by a cache in class oi,
+// appending the event's successors to dst. Successors equal in state and
+// N-step tag are emitted once, the first one winning.
+func (e *Engine) expandEvent(x *scratch, dst []Succ, s *CState, oi int, op fsm.Op, rules []*ruleTab) ([]Succ, error) {
 	// Build the base scenario: pin the origin class non-empty, remove the
 	// originator, and derive the copy-count bound for the other caches.
-	base := &scenario{
-		rem:     append([]Rep(nil), s.reps...),
-		cdata:   append([]Data(nil), s.cdata...),
-		mdata:   s.mdata,
-		origIdx: oi,
+	x.used = 0
+	base := x.scenario(e.n)
+	for i := range base.rem {
+		base.rem[i], base.cdata[i] = s.Rep(i), s.CData(i)
 	}
+	base.mdata = s.mdata
+	base.origIdx = oi
 	if base.rem[oi] == RStar {
 		base.rem[oi] = RPlus // originate only from the non-empty members
 	}
 	rem, err := removeOne(base.rem[oi])
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	base.rem[oi] = rem
-	base.origData = s.cdata[oi]
+	base.origData = s.CData(oi)
 	base.othersIval = s.attr.interval()
 	if e.valid[oi] && s.attr != CountNull {
 		base.othersIval = base.othersIval.sub1()
 	}
 	if !e.propagate(base) {
-		return nil, nil // the origin class cannot actually be populated
+		return dst, nil // the origin class cannot actually be populated
 	}
 
 	// Resolve the guard cascade, splitting scenarios over ambiguity.
-	type pick struct {
-		sc   *scenario
-		rule *ruleTab
-	}
-	var picks []pick
-	pending := []*scenario{base}
+	x.picks = x.picks[:0]
+	x.pending = append(x.pending[:0], base)
 	for _, rule := range rules {
-		if len(pending) == 0 {
+		if len(x.pending) == 0 {
 			break
 		}
-		var still []*scenario
-		for _, sc := range pending {
-			matched, unmatched := e.splitGuard(sc, rule)
-			for _, m := range matched {
-				picks = append(picks, pick{m, rule})
-			}
-			still = append(still, unmatched...)
+		x.still = x.still[:0]
+		for _, sc := range x.pending {
+			e.splitGuard(x, sc, rule)
 		}
-		pending = still
+		x.pending, x.still = x.still, x.pending
 	}
 	var specErr error
-	if len(pending) > 0 {
+	if len(x.pending) > 0 {
 		specErr = fmt.Errorf("symbolic: protocol %s: guard cascade for (%s,%s) does not cover state %s",
 			e.p.Name, e.p.States[oi], op, s.StructureString(e.p))
 	}
 
-	// Dedup successors on (state identity, N-step tag). The key is a
-	// comparable struct, not a rendered string: this loop sits on the hot
-	// path of every expansion event.
-	type succKey struct {
-		key   string
-		nstep bool
-	}
-	var out []Succ
-	seen := make(map[succKey]bool, 8)
-	for _, pk := range picks {
-		succs, err := e.applyRule(pk.sc, pk.rule, op)
+	start := len(dst)
+	for _, pk := range x.picks {
+		var err error
+		dst, err = e.applyRule(x, dst, start, pk.sc, pk.rule, op)
 		if err != nil && specErr == nil {
 			specErr = err
 		}
-		for _, su := range succs {
-			dk := succKey{su.State.Key(), su.Label.NStep}
-			if seen[dk] {
-				continue
-			}
-			seen[dk] = true
-			out = append(out, su)
-		}
 	}
-	return out, specErr
+	return dst, specErr
 }
 
-// splitGuard refines scenario sc until the rule's guard is decided, returning
-// the scenarios in which it holds and those in which it does not.
-func (e *Engine) splitGuard(sc *scenario, tab *ruleTab) (matched, unmatched []*scenario) {
+// splitGuard refines scenario sc until the rule's guard is decided,
+// recording the scenarios in which it holds as picks and those in which it
+// does not for the next rule of the cascade.
+func (e *Engine) splitGuard(x *scratch, sc *scenario, tab *ruleTab) {
 	g := tab.rule.Guard
 	switch g.Kind {
 	case fsm.GuardAlways:
-		return []*scenario{sc}, nil
+		x.match(sc, tab)
 	case fsm.GuardAnyOther, fsm.GuardNoOther:
-		exists, scenariosTrue, scenarioFalse := e.splitExists(sc, tab)
+		exists, scenariosTrue, scenarioFalse := e.splitExists(x, sc, tab)
 		if g.Kind == fsm.GuardAnyOther {
 			switch exists {
 			case condTrue:
-				return []*scenario{sc}, nil
+				x.match(sc, tab)
 			case condFalse:
-				return nil, oneOrNone(scenarioFalse)
+				x.miss(scenarioFalse)
 			default:
-				return scenariosTrue, oneOrNone(scenarioFalse)
+				for _, t := range scenariosTrue {
+					x.match(t, tab)
+				}
+				x.miss(scenarioFalse)
 			}
+			return
 		}
 		// NoOther
 		switch exists {
 		case condTrue:
-			return nil, []*scenario{sc}
+			x.miss(sc)
 		case condFalse:
-			return oneOrNone(scenarioFalse), nil
+			x.match(scenarioFalse, tab)
 		default:
-			return oneOrNone(scenarioFalse), scenariosTrue
+			x.match(scenarioFalse, tab)
+			for _, t := range scenariosTrue {
+				x.miss(t)
+			}
 		}
 	default:
-		return nil, []*scenario{sc}
+		x.miss(sc)
 	}
-}
-
-func oneOrNone(sc *scenario) []*scenario {
-	if sc == nil {
-		return nil
-	}
-	return []*scenario{sc}
 }
 
 type cond int
@@ -442,52 +515,40 @@ const (
 // of them pinned empty (the ∄ case). Infeasible refinements are dropped.
 // In the definite-false cases the returned false scenario has the set's
 // star classes zeroed out (they are provably empty), so downstream rules do
-// not mistake ghost classes for populated ones.
-func (e *Engine) splitExists(sc *scenario, tab *ruleTab) (cond, []*scenario, *scenario) {
-	zeroSet := func(from *scenario) *scenario {
-		f := from.clone()
-		for _, i := range tab.guardIdxs {
-			if f.rem[i] == RStar {
-				f.rem[i] = RZero
-			}
-		}
-		if !e.propagate(f) {
-			return nil
-		}
-		return f
-	}
-
+// not mistake ghost classes for populated ones. The returned true
+// scenarios alias x's buffer and are valid until the next call.
+func (e *Engine) splitExists(x *scratch, sc *scenario, tab *ruleTab) (cond, []*scenario, *scenario) {
 	// Fast path: when the tested set is exactly the valid-copy set and the
 	// copy count is tracked, the bound decides existence outright.
 	if tab.guardIsValidSet && sc.othersIval.lo >= 1 {
 		return condTrue, nil, nil
 	}
 	if tab.guardIsValidSet && sc.othersIval.hi == 0 {
-		return condFalse, nil, zeroSet(sc)
+		return condFalse, nil, e.zeroSet(x, sc, tab)
 	}
 
-	var stars []int
+	x.stars = x.stars[:0]
 	for _, i := range tab.guardIdxs {
 		switch sc.rem[i] {
 		case ROne, RPlus:
 			return condTrue, nil, nil
 		case RStar:
-			stars = append(stars, i)
+			x.stars = append(x.stars, i)
 		}
 	}
-	if len(stars) == 0 {
+	if len(x.stars) == 0 {
 		return condFalse, nil, sc
 	}
-	var trueScs []*scenario
-	for _, i := range stars {
-		t := sc.clone()
+	x.trues = x.trues[:0]
+	for _, i := range x.stars {
+		t := x.clone(sc)
 		t.rem[i] = RPlus
 		if e.propagate(t) {
-			trueScs = append(trueScs, t)
+			x.trues = append(x.trues, t)
 		}
 	}
-	falseSc := zeroSet(sc)
-	if len(trueScs) == 0 {
+	falseSc := e.zeroSet(x, sc, tab)
+	if len(x.trues) == 0 {
 		if falseSc == nil {
 			return condFalse, nil, sc // cannot happen for a normalized state
 		}
@@ -497,7 +558,22 @@ func (e *Engine) splitExists(sc *scenario, tab *ruleTab) (cond, []*scenario, *sc
 		// All-empty is infeasible: existence is certain.
 		return condTrue, nil, nil
 	}
-	return condAmbiguous, trueScs, falseSc
+	return condAmbiguous, x.trues, falseSc
+}
+
+// zeroSet returns a copy of sc with the guard set's star classes pinned
+// empty, or nil when that is infeasible.
+func (e *Engine) zeroSet(x *scratch, sc *scenario, tab *ruleTab) *scenario {
+	f := x.clone(sc)
+	for _, i := range tab.guardIdxs {
+		if f.rem[i] == RStar {
+			f.rem[i] = RZero
+		}
+	}
+	if !e.propagate(f) {
+		return nil
+	}
+	return f
 }
 
 func (e *Engine) isValidSet(idxs []int) bool {
@@ -513,46 +589,37 @@ func (e *Engine) isValidSet(idxs []int) bool {
 }
 
 // applyRule performs the transition on a guard-resolved scenario, branching
-// over supplier choice and over copy-count ambiguity.
-func (e *Engine) applyRule(sc *scenario, tab *ruleTab, op fsm.Op) ([]Succ, error) {
+// over supplier choice and over copy-count ambiguity, and appends the
+// successors to dst (dst[start:] are the event's earlier ones).
+func (e *Engine) applyRule(x *scratch, dst []Succ, start int, sc *scenario, tab *ruleTab, op fsm.Op) ([]Succ, error) {
 	rule := tab.rule
-	// Resolve the data supplier.
-	type supplied struct {
-		sc   *scenario
-		data Data
+	if rule.Data.Source != fsm.SrcCache {
+		return e.applySupplied(x, dst, start, sc, tab, op, DNone), nil
 	}
-	var branches []supplied
-	if rule.Data.Source == fsm.SrcCache {
-		for _, i := range tab.suppliers {
-			if !sc.rem[i].CanBePositive() {
-				continue
-			}
-			t := sc.clone()
-			if t.rem[i] == RStar {
-				t.rem[i] = RPlus
-			}
-			if !e.propagate(t) {
-				continue
-			}
-			branches = append(branches, supplied{t, t.cdata[i]})
+	// Resolve the data supplier: one branch per class that can supply.
+	supplied := false
+	for _, i := range tab.suppliers {
+		if !sc.rem[i].CanBePositive() {
+			continue
 		}
-		if len(branches) == 0 {
-			return nil, fmt.Errorf("symbolic: protocol %s: rule %s fired with no possible supplier in %v",
-				e.p.Name, rule.Name, rule.Data.Suppliers)
+		t := x.clone(sc)
+		if t.rem[i] == RStar {
+			t.rem[i] = RPlus
 		}
-	} else {
-		branches = []supplied{{sc, DNone}}
+		if !e.propagate(t) {
+			continue
+		}
+		supplied = true
+		dst = e.applySupplied(x, dst, start, t, tab, op, t.cdata[i])
 	}
-
-	var out []Succ
-	for _, br := range branches {
-		succs := e.applySupplied(br.sc, tab, op, br.data)
-		out = append(out, succs...)
+	if !supplied {
+		return dst, fmt.Errorf("symbolic: protocol %s: rule %s fired with no possible supplier in %v",
+			e.p.Name, rule.Name, rule.Data.Suppliers)
 	}
-	return out, nil
+	return dst, nil
 }
 
-func (e *Engine) applySupplied(sc *scenario, tab *ruleTab, op fsm.Op, supplierData Data) []Succ {
+func (e *Engine) applySupplied(x *scratch, dst []Succ, start int, sc *scenario, tab *ruleTab, op fsm.Op, supplierData Data) []Succ {
 	rule := tab.rule
 	// 1. Originator's incoming data and supplier write-back.
 	var origVal Data
@@ -574,9 +641,8 @@ func (e *Engine) applySupplied(sc *scenario, tab *ruleTab, op fsm.Op, supplierDa
 	// 2+3. Coincident transitions — pool every remaining class into its
 	// observed target (aggregation rules) — fused with the abstract
 	// copy-count arithmetic over the other caches.
-	newReps := make([]Rep, e.n)
-	newData := make([]Data, e.n)
-	hasContrib := make([]bool, e.n)
+	x.vectors(e.n)
+	newReps, newData, hasContrib := x.reps, x.data, x.contrib
 	survivors := ival{0, 0}
 	gained := ival{0, 0}
 	allValidSurvive := true
@@ -615,7 +681,7 @@ func (e *Engine) applySupplied(sc *scenario, tab *ruleTab, op fsm.Op, supplierDa
 		othersAfter, ok = survivors.intersect(ival{0, sc.othersIval.hi})
 	}
 	if !ok {
-		return nil
+		return dst
 	}
 	othersAfter = othersAfter.add(gained)
 
@@ -672,55 +738,63 @@ func (e *Engine) applySupplied(sc *scenario, tab *ruleTab, op fsm.Op, supplierDa
 	// tagged NStep.
 	origin := e.p.States[sc.origIdx]
 	if e.p.Characteristic != fsm.CharSharing {
-		st, ok := e.normalize(newReps, newData, CountNull, newMdata)
-		if !ok {
-			return nil
-		}
-		return []Succ{{Label: Label{Op: op, Origin: origin}, Rule: rule, State: st}}
+		return e.emit(x, dst, start, CountNull, newMdata, Label{Op: op, Origin: origin}, rule)
 	}
-	counts := total.counts()
+	x.counts = total.appendCounts(x.counts[:0])
 	var maxCount Count
-	for _, c := range counts {
+	for _, c := range x.counts {
 		if c > maxCount {
 			maxCount = c
 		}
 	}
-	var out []Succ
-	for ci, cnt := range counts {
-		r, dd := newReps, newData
-		if ci < len(counts)-1 {
-			// normalize mutates and newCState retains its arguments, so every
-			// branch but the last works on a copy; the last one takes over
-			// the scratch slices directly.
-			r = append([]Rep(nil), newReps...)
-			dd = append([]Data(nil), newData...)
-		}
-		st, ok := e.normalize(r, dd, cnt, newMdata)
-		if !ok {
-			continue
-		}
-		out = append(out, Succ{
-			Label: Label{Op: op, Origin: origin, NStep: len(counts) > 1 && cnt != maxCount},
-			Rule:  rule,
-			State: st,
-		})
+	for _, cnt := range x.counts {
+		label := Label{Op: op, Origin: origin, NStep: len(x.counts) > 1 && cnt != maxCount}
+		dst = e.emit(x, dst, start, cnt, newMdata, label, rule)
 	}
-	return out
+	return dst
 }
 
-// normalize canonicalizes a candidate composite state against its copy-count
-// attribute (pinning singletons, collapsing impossible star classes) and
-// scrubs the context variables of empty and invalid classes. It reports
-// false when the combination is infeasible. The slices are owned by the
-// caller and may be modified.
+// emit canonicalizes a copy of the pooled successor vectors under copy
+// count attr and appends the resulting state to dst, unless it is
+// infeasible or equals (state and N-step tag) one of the event's earlier
+// successors dst[start:]. Only an emitted state is allocated.
+func (e *Engine) emit(x *scratch, dst []Succ, start int, attr Count, mdata Data, label Label, rule *fsm.Rule) []Succ {
+	copy(x.r2, x.reps)
+	copy(x.d2, x.data)
+	if !e.canonicalize(x.r2, x.d2, attr) {
+		return dst
+	}
+	x.key = appendKey(x.key[:0], x.r2, x.d2, attr, mdata)
+	for _, su := range dst[start:] {
+		if su.Label.NStep == label.NStep && su.State.key == string(x.key) {
+			return dst
+		}
+	}
+	return append(dst, Succ{Label: label, Rule: rule, State: stateFromKey(string(x.key))})
+}
+
+// normalize canonicalizes a candidate composite state (see canonicalize)
+// and builds it. It reports false when the combination is infeasible. The
+// slices are owned by the caller and may be modified.
 func (e *Engine) normalize(reps []Rep, cdata []Data, attr Count, mdata Data) (*CState, bool) {
+	if !e.canonicalize(reps, cdata, attr) {
+		return nil, false
+	}
+	return newCState(reps, cdata, attr, mdata), true
+}
+
+// canonicalize rewrites candidate component vectors in place against their
+// copy-count attribute (pinning singletons, collapsing impossible star
+// classes) and scrubs the context variables of empty and invalid classes.
+// It reports false when the combination is infeasible.
+func (e *Engine) canonicalize(reps []Rep, cdata []Data, attr Count) bool {
 	if attr != CountNull {
 		bound := attr.interval()
 		if attr == CountZero {
 			for _, i := range e.validIdxs {
 				switch reps[i] {
 				case ROne, RPlus:
-					return nil, false
+					return false
 				case RStar:
 					reps[i] = RZero
 				}
@@ -740,7 +814,7 @@ func (e *Engine) normalize(reps []Rep, cdata []Data, attr Count, mdata Data) (*C
 			}
 		}
 		if satur(min) > bound.hi || satur(max) < bound.lo {
-			return nil, false
+			return false
 		}
 		if attr == CountOne && min == 1 {
 			// The definite instances already account for the single copy:
@@ -762,7 +836,7 @@ func (e *Engine) normalize(reps []Rep, cdata []Data, attr Count, mdata Data) (*C
 				reps[nonZero] = ROne
 			case CountMany:
 				if reps[nonZero] == ROne {
-					return nil, false
+					return false
 				}
 				reps[nonZero] = RPlus
 			}
@@ -773,5 +847,5 @@ func (e *Engine) normalize(reps []Rep, cdata []Data, attr Count, mdata Data) (*C
 			cdata[i] = DNone
 		}
 	}
-	return newCState(reps, cdata, attr, mdata), true
+	return true
 }

@@ -171,10 +171,16 @@ type Result struct {
 // no specification errors.
 func (r *Result) OK() bool { return len(r.Violations) == 0 && len(r.SpecErrors) == 0 }
 
-// parentInfo supports witness reconstruction.
-type parentInfo struct {
-	parent *CState
-	label  Label
+// keyRecord is the bookkeeping of one generated state key: the
+// provenance that witness paths follow, whether the state's violations
+// were reported, and whether the state entered the working list under the
+// identity dedup of the NoContainment ablation (the initial state always
+// has).
+type keyRecord struct {
+	parent   *CState
+	label    Label
+	reported bool
+	queued   bool
 }
 
 // Expand runs the essential-states generation algorithm of Figure 3 from the
@@ -236,12 +242,13 @@ type expander struct {
 	// (initial-state violation under StopOnViolation).
 	done bool
 
-	work     []*CState
-	hist     []*CState
-	parents  map[string]parentInfo
-	reported map[string]bool
-	seenKeys map[string]struct{}
-	sinceCp  int
+	work []*CState
+	hist []*CState
+	// recs holds one record per generated state key, so a visit costs one
+	// map lookup; the records themselves live in recSlab chunks.
+	recs    map[string]*keyRecord
+	recSlab []keyRecord
+	sinceCp int
 	// workIx and histIx are the containment indexes over work and hist,
 	// nil in the NoContainment ablation (identity dedup never queries
 	// containment). The ordered slices stay the source of truth; every
@@ -251,6 +258,11 @@ type expander struct {
 	histIx *cindex
 	// listBytes is the running cstateBytes total of work + hist.
 	listBytes int64
+
+	// scratch and succs are the successor-construction memory of the
+	// items processItem expands inline.
+	scratch scratch
+	succs   []Succ
 
 	res *Result
 }
@@ -262,11 +274,9 @@ func newExpander(e *Engine, opts Options) *expander {
 	}
 	x := &expander{
 		e: e, opts: opts, maxVisits: maxVisits,
-		orun:     opts.Sink().Run("symbolic", e.p.Name),
-		parents:  map[string]parentInfo{},
-		reported: map[string]bool{},
-		seenKeys: map[string]struct{}{},
-		res:      &Result{Protocol: e.p},
+		orun: opts.Sink().Run("symbolic", e.p.Name),
+		recs: map[string]*keyRecord{},
+		res:  &Result{Protocol: e.p},
 	}
 	if !opts.NoContainment {
 		x.workIx = newCIndex()
@@ -275,14 +285,24 @@ func newExpander(e *Engine, opts Options) *expander {
 	return x
 }
 
+// record creates the record of a newly generated key.
+func (x *expander) record(key string, parent *CState, label Label) *keyRecord {
+	if len(x.recSlab) == cap(x.recSlab) {
+		x.recSlab = make([]keyRecord, 0, min(max(2*cap(x.recSlab), 16), 1024))
+	}
+	x.recSlab = append(x.recSlab, keyRecord{parent: parent, label: label})
+	r := &x.recSlab[len(x.recSlab)-1]
+	x.recs[key] = r
+	return r
+}
+
 // startExpander builds a fresh expander seeded with the initial state.
 // Its done flag reports that the run already ended (initial-state
 // violation under StopOnViolation).
 func (e *Engine) startExpander(opts Options) *expander {
 	x := newExpander(e, opts)
 	init := e.Initial()
-	x.parents[init.Key()] = parentInfo{}
-	x.seenKeys[init.Key()] = struct{}{}
+	x.record(init.Key(), nil, Label{}).queued = true
 	if v := e.Check(init, opts.Strict); len(v) > 0 {
 		x.res.Violations = append(x.res.Violations, StateViolation{State: init, Violations: v})
 		x.orun.Event(obs.MetricViolations, 1)
@@ -295,12 +315,13 @@ func (e *Engine) startExpander(opts Options) *expander {
 	return x
 }
 
-// cstateBytes estimates the resident cost of one composite state: its two
-// component slices, its key (held twice: in the state and as a map key),
-// the bitmask summaries and the bookkeeping map entries. The constant is
-// pinned against measured heap growth by TestCStateBytesEstimate.
+// cstateBytes estimates the resident cost of one composite state: the
+// struct with its bitmask summaries, its key (the only copy of the
+// component vectors, shared with the record map), and its slots in the
+// ordered list and the containment index. The constant is pinned against
+// measured heap growth by TestCStateBytesEstimate.
 func cstateBytes(s *CState) int64 {
-	return int64(2*len(s.reps) + 2*len(s.key) + 176)
+	return int64(len(s.key) + 156)
 }
 
 // estBytes estimates the run's footprint from the worklist, the history and
@@ -308,7 +329,7 @@ func cstateBytes(s *CState) int64 {
 // deterministic across runs and platforms; the list contribution is
 // maintained incrementally by the push/pop/prune helpers.
 func (x *expander) estBytes() int64 {
-	return x.listBytes + int64(len(x.parents))*64
+	return x.listBytes + int64(len(x.recs))*64
 }
 
 // pushWork appends s to the working list (and its index).
@@ -371,7 +392,7 @@ func (x *expander) prune(listp *[]*CState, ix *cindex, s *CState) int {
 }
 
 // stopCheck evaluates the boundary-granularity budgets. Distinct generated
-// states (the parent map's size) stand in for the enumerators' state count.
+// states (the record map's size) stand in for the enumerators' state count.
 func (x *expander) stopCheck(ctx context.Context) error {
 	if err := runctl.FromContext(ctx); err != nil {
 		return err
@@ -379,7 +400,7 @@ func (x *expander) stopCheck(ctx context.Context) error {
 	if err := x.opts.Budget.CheckDeadline(time.Now()); err != nil {
 		return err
 	}
-	if err := x.opts.Budget.CheckStates(len(x.parents)); err != nil {
+	if err := x.opts.Budget.CheckStates(len(x.recs)); err != nil {
 		return err
 	}
 	return x.opts.Budget.CheckMem(x.estBytes())
@@ -405,39 +426,24 @@ func (x *expander) maybeCheckpoint() error {
 	return x.opts.OnCheckpoint(x.snapshot())
 }
 
-// eventResult is the memoized outcome of one expandEvent call, tagged
-// with its (class, op-index) position so processItem can verify the memo
-// cursor stays aligned with its own iteration order. viol[j] carries the
-// precomputed violation check of succs[j] — Check, like expandEvent, is
-// a pure function of the successor state, and hoisting it into the
-// speculation phase roughly doubles the parallelizable fraction of an
-// expansion (see the profile notes in parallel.go).
-type eventResult struct {
-	oi, k int
-	succs []Succ
-	viol  [][]fsm.Violation
-	err   error
-}
-
 // processItem performs the Figure 3 processing of one popped worklist
 // state: expand every applicable (class, operation) event, check each
 // successor, and merge it into the working and history lists under
 // containment pruning. memo, when non-nil, carries the precomputed
-// expandEvent results for a in iteration order (see Engine.expandItem);
-// the parallel driver fills it speculatively, the sequential driver
-// passes nil and computes inline. expandEvent is a pure function of its
-// arguments, so consuming the memo is observationally identical to
-// computing inline — which is what keeps the two drivers bit-identical.
-// It reports true when the run must return immediately (StopOnViolation),
-// with the result already finalized.
-func (x *expander) processItem(a *CState, memo []eventResult) bool {
+// expansion of a (see Engine.expandItem); the parallel driver fills it
+// speculatively, the sequential driver passes nil and computes inline.
+// expandEvent is a pure function of its arguments, so consuming the memo
+// is observationally identical to computing inline — which is what keeps
+// the two drivers bit-identical. It reports true when the run must return
+// immediately (StopOnViolation), with the result already finalized.
+func (x *expander) processItem(a *CState, memo *itemMemo) bool {
 	e, opts, res := x.e, x.opts, x.res
 	superseded := false
 	cur := 0
 
 expandA:
 	for oi := 0; oi < a.NumClasses() && !superseded; oi++ {
-		if !a.reps[oi].CanBePositive() {
+		if !a.Rep(oi).CanBePositive() {
 			continue
 		}
 		for k, op := range e.p.Ops {
@@ -448,11 +454,13 @@ expandA:
 			var succs []Succ
 			var specErr error
 			var viols [][]fsm.Violation
-			if cur < len(memo) && memo[cur].oi == oi && memo[cur].k == k {
-				succs, specErr, viols = memo[cur].succs, memo[cur].err, memo[cur].viol
+			if memo != nil && cur < len(memo.events) && memo.events[cur].oi == oi && memo.events[cur].k == k {
+				ev := memo.events[cur]
+				succs, viols, specErr = memo.succs[ev.lo:ev.hi], memo.viols[ev.lo:ev.hi], ev.err
 				cur++
 			} else {
-				succs, specErr = e.expandEvent(a, oi, op, rules)
+				x.succs, specErr = e.expandEvent(&x.scratch, x.succs[:0], a, oi, op, rules)
+				succs = x.succs
 			}
 			if specErr != nil {
 				res.SpecErrors = append(res.SpecErrors, specErr)
@@ -461,13 +469,14 @@ expandA:
 			for j, su := range succs {
 				res.Visits++
 				ap := su.State
-				if _, seen := x.parents[ap.Key()]; !seen {
-					x.parents[ap.Key()] = parentInfo{parent: a, label: su.Label}
+				rec := x.recs[ap.Key()]
+				if rec == nil {
+					rec = x.record(ap.Key(), a, su.Label)
 				}
 
 				// Erroneous-state detection happens before pruning so
 				// containment can never hide a violation.
-				if !x.reported[ap.Key()] {
+				if !rec.reported {
 					var v []fsm.Violation
 					if viols != nil {
 						v = viols[j]
@@ -475,11 +484,11 @@ expandA:
 						v = e.Check(ap, opts.Strict)
 					}
 					if len(v) > 0 {
-						x.reported[ap.Key()] = true
+						rec.reported = true
 						res.Violations = append(res.Violations, StateViolation{
 							State:      ap,
 							Violations: v,
-							Path:       e.witness(x.parents, ap),
+							Path:       x.witness(ap),
 						})
 						x.orun.Event(obs.MetricViolations, 1)
 						if opts.StopOnViolation {
@@ -493,10 +502,10 @@ expandA:
 				outcome := OutcomeNew
 				switch {
 				case opts.NoContainment:
-					if _, dup := x.seenKeys[ap.Key()]; dup {
+					if rec.queued {
 						outcome = OutcomeContained
 					} else {
-						x.seenKeys[ap.Key()] = struct{}{}
+						rec.queued = true
 						x.pushWork(ap)
 					}
 				case Contains(a, ap):
@@ -605,18 +614,18 @@ func containedInAny(s *CState, list []*CState) bool {
 	return false
 }
 
-// witness reconstructs a path from the initial state to s using the parent
-// map populated during expansion.
-func (e *Engine) witness(parents map[string]parentInfo, s *CState) []PathStep {
+// witness reconstructs a path from the initial state to s by following
+// the records' provenance.
+func (x *expander) witness(s *CState) []PathStep {
 	var rev []PathStep
 	cur := s
 	for {
-		pi, ok := parents[cur.Key()]
-		if !ok || pi.parent == nil {
+		r := x.recs[cur.Key()]
+		if r == nil || r.parent == nil {
 			break
 		}
-		rev = append(rev, PathStep{Label: pi.label, To: cur})
-		cur = pi.parent
+		rev = append(rev, PathStep{Label: r.label, To: cur})
+		cur = r.parent
 		if len(rev) > 10000 {
 			break // defensive: parent chains are acyclic by construction
 		}
@@ -635,8 +644,8 @@ func SortStates(states []*CState) []*CState {
 	out := append([]*CState(nil), states...)
 	gen := func(s *CState) int {
 		g := 0
-		for _, r := range s.reps {
-			if r == RStar || r == RPlus {
+		for i := 0; i < s.NumClasses(); i++ {
+			if r := s.Rep(i); r == RStar || r == RPlus {
 				g++
 			}
 		}

@@ -32,14 +32,23 @@ type csig struct {
 }
 
 // cindex is a containment index over one of the expander's state lists.
+// Membership scans walk buckets in the order their signatures first
+// appeared; the map only locates a signature's bucket. A bucket that
+// empties stays in place, since signatures are few and recur.
 type cindex struct {
-	buckets map[csig][]*CState
+	slot    map[csig]int // signature -> index into buckets
+	buckets []cbucket
 	// flat is the fallback list for unmasked states (|Q| > 64).
 	flat []*CState
 }
 
+type cbucket struct {
+	sig    csig
+	states []*CState
+}
+
 func newCIndex() *cindex {
-	return &cindex{buckets: make(map[csig][]*CState)}
+	return &cindex{slot: make(map[csig]int)}
 }
 
 func (ix *cindex) add(s *CState) {
@@ -48,7 +57,13 @@ func (ix *cindex) add(s *CState) {
 		return
 	}
 	sig := csig{attr: s.attr, occ: s.occAll}
-	ix.buckets[sig] = append(ix.buckets[sig], s)
+	i, ok := ix.slot[sig]
+	if !ok {
+		i = len(ix.buckets)
+		ix.slot[sig] = i
+		ix.buckets = append(ix.buckets, cbucket{sig: sig})
+	}
+	ix.buckets[i].states = append(ix.buckets[i].states, s)
 }
 
 // remove deletes one state (by pointer identity) from its bucket.
@@ -57,12 +72,8 @@ func (ix *cindex) remove(s *CState) {
 		ix.flat = removePtr(ix.flat, s)
 		return
 	}
-	sig := csig{attr: s.attr, occ: s.occAll}
-	b := removePtr(ix.buckets[sig], s)
-	if len(b) == 0 {
-		delete(ix.buckets, sig)
-	} else {
-		ix.buckets[sig] = b
+	if i, ok := ix.slot[csig{attr: s.attr, occ: s.occAll}]; ok {
+		ix.buckets[i].states = removePtr(ix.buckets[i].states, s)
 	}
 }
 
@@ -88,11 +99,11 @@ func (ix *cindex) containedInAny(s *CState) bool {
 		// (Covers rejects length mismatches), which all live in flat.
 		return false
 	}
-	for sig, b := range ix.buckets {
-		if sig.attr != s.attr || s.occAll&^sig.occ != 0 {
+	for _, b := range ix.buckets {
+		if b.sig.attr != s.attr || s.occAll&^b.sig.occ != 0 {
 			continue
 		}
-		if containedInAny(s, b) {
+		if containedInAny(s, b.states) {
 			return true
 		}
 	}
@@ -110,11 +121,11 @@ func (ix *cindex) collectContained(s *CState, out []*CState) []*CState {
 		return out
 	}
 	def := s.maskOne | s.maskPlus
-	for sig, b := range ix.buckets {
-		if sig.attr != s.attr || sig.occ&^s.occAll != 0 || def&^sig.occ != 0 {
+	for _, b := range ix.buckets {
+		if b.sig.attr != s.attr || b.sig.occ&^s.occAll != 0 || def&^b.sig.occ != 0 {
 			continue
 		}
-		for _, t := range b {
+		for _, t := range b.states {
 			if Contains(s, t) {
 				out = append(out, t)
 			}

@@ -50,17 +50,38 @@ func (e *WorkerError) Error() string {
 	return fmt.Sprintf("symbolic: worker %d panicked expanding speculation job %d: %s", e.Worker, e.Job, e.Value)
 }
 
-// expandItem precomputes every event expansion of one worklist state, in
-// the exact (class, op) order processItem consumes them, together with
-// the violation check of every generated successor (profiling shows the
-// two together are ~80% of an expansion step; the serial merge keeps
-// only the containment bookkeeping). It only reads the engine's
-// immutable rule tables and the state, so concurrent calls on distinct
-// states are race-free.
-func (e *Engine) expandItem(a *CState, strict bool) []eventResult {
-	out := getEventResults()
+// itemMemo is the speculated expansion of one worklist state, in the
+// exact (class, op) order processItem consumes it: events[i] covers
+// succs[lo:hi], and viols[j] is the violation check of succs[j]. Check,
+// like expandEvent, is a pure function of the successor state, and
+// hoisting it into the speculation phase roughly doubles the
+// parallelizable fraction of an expansion.
+type itemMemo struct {
+	events []eventResult
+	succs  []Succ
+	viols  [][]fsm.Violation
+}
+
+// eventResult is one expandEvent call of an itemMemo, tagged with its
+// (class, op-index) position so processItem can verify the memo cursor
+// stays aligned with its own iteration order.
+type eventResult struct {
+	oi, k  int
+	lo, hi int
+	err    error
+}
+
+// expandItem precomputes every event expansion of one worklist state
+// together with the violation check of every generated successor
+// (profiling shows the two together are ~80% of an expansion step; the
+// serial merge keeps only the containment bookkeeping). It only reads the
+// engine's immutable rule tables and the state, and builds in the
+// caller's scratch, so concurrent calls with distinct scratches are
+// race-free.
+func (e *Engine) expandItem(x *scratch, a *CState, strict bool) *itemMemo {
+	m := itemMemoPool.Get().(*itemMemo)
 	for oi := 0; oi < a.NumClasses(); oi++ {
-		if !a.reps[oi].CanBePositive() {
+		if !a.Rep(oi).CanBePositive() {
 			continue
 		}
 		for k, op := range e.p.Ops {
@@ -68,34 +89,30 @@ func (e *Engine) expandItem(a *CState, strict bool) []eventResult {
 			if len(rules) == 0 {
 				continue
 			}
-			succs, err := e.expandEvent(a, oi, op, rules)
-			er := eventResult{oi: oi, k: k, succs: succs, err: err}
-			if len(succs) > 0 {
-				er.viol = make([][]fsm.Violation, len(succs))
-				for j, su := range succs {
-					er.viol[j] = e.Check(su.State, strict)
-				}
-			}
-			out = append(out, er)
+			lo := len(m.succs)
+			var err error
+			m.succs, err = e.expandEvent(x, m.succs, a, oi, op, rules)
+			m.events = append(m.events, eventResult{oi: oi, k: k, lo: lo, hi: len(m.succs), err: err})
 		}
 	}
-	return out
-}
-
-// eventResultPool recycles the per-item memo buffers: each dispatched
-// state gets one and the merge loop retires it as soon as the state is
-// processed, so steady-state speculation reuses a small set.
-var eventResultPool = sync.Pool{New: func() any { return new([]eventResult) }}
-
-func getEventResults() []eventResult {
-	return (*eventResultPool.Get().(*[]eventResult))[:0]
-}
-
-func putEventResults(m []eventResult) {
-	for i := range m {
-		m[i] = eventResult{} // drop the Succ states so the pool retains no CStates
+	for _, su := range m.succs {
+		m.viols = append(m.viols, e.Check(su.State, strict))
 	}
-	eventResultPool.Put(&m)
+	return m
+}
+
+// itemMemoPool recycles the memos: each dispatched state gets one and the
+// merge loop retires it as soon as the state is processed, so
+// steady-state speculation reuses a small set.
+var itemMemoPool = sync.Pool{New: func() any { return new(itemMemo) }}
+
+func putItemMemo(m *itemMemo) {
+	// Drop the states, violations and errors so the pool retains none.
+	clear(m.events)
+	clear(m.succs)
+	clear(m.viols)
+	m.events, m.succs, m.viols = m.events[:0], m.succs[:0], m.viols[:0]
+	itemMemoPool.Put(m)
 }
 
 // testWorkerHook, when set by tests, runs inside each speculation worker
@@ -108,7 +125,7 @@ var testWorkerHook func(job, worker int)
 // merge loop only after done is closed.
 type specFuture struct {
 	done chan struct{}
-	res  []eventResult
+	res  *itemMemo
 	we   *WorkerError
 }
 
@@ -150,12 +167,13 @@ func newSpeculator(x *expander, workers int) *speculator {
 
 func (sp *speculator) worker(w int) {
 	defer sp.wg.Done()
+	var x scratch
 	for job := range sp.jobs {
-		sp.runJob(w, job)
+		sp.runJob(w, &x, job)
 	}
 }
 
-func (sp *speculator) runJob(w int, job specJob) {
+func (sp *speculator) runJob(w int, x *scratch, job specJob) {
 	defer close(job.fut.done)
 	defer func() {
 		if r := recover(); r != nil {
@@ -173,7 +191,7 @@ func (sp *speculator) runJob(w int, job specJob) {
 	if testWorkerHook != nil {
 		testWorkerHook(job.seq, w)
 	}
-	job.fut.res = sp.x.e.expandItem(job.a, sp.x.opts.Strict)
+	job.fut.res = sp.x.e.expandItem(x, job.a, sp.x.opts.Strict)
 }
 
 // dispatch hands every not-yet-speculated working-list state to the
@@ -201,7 +219,7 @@ func (sp *speculator) dispatch() {
 // take claims the speculated results for the popped head, blocking
 // until its worker finishes. A nil return (worker panicked, or the
 // state was never dispatched) tells the caller to expand inline.
-func (sp *speculator) take(a *CState) []eventResult {
+func (sp *speculator) take(a *CState) *itemMemo {
 	fut, ok := sp.futures[a]
 	if !ok {
 		return nil
@@ -237,7 +255,7 @@ func (sp *speculator) maybeSweep() {
 		select {
 		case <-fut.done:
 			if fut.we == nil {
-				putEventResults(fut.res)
+				putItemMemo(fut.res)
 			}
 		default:
 		}
@@ -290,7 +308,7 @@ func (x *expander) runPar(ctx context.Context, workers int) (*Result, error) {
 		memo := sp.take(a)
 		stop := x.processItem(a, memo)
 		if memo != nil {
-			putEventResults(memo)
+			putItemMemo(memo)
 		}
 		if stop {
 			return x.res, nil

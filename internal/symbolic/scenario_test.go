@@ -35,7 +35,7 @@ func TestSplitExistsDefiniteTrue(t *testing.T) {
 	rem[p.StateIndex("Dirty")] = ROne
 	rem[p.StateIndex("Invalid")] = RStar
 	sc := mkScenario(e, rem, ival{1, 1})
-	cond, trues, falseSc := e.splitExists(sc, guardTab(e, []fsm.State{"Dirty"}))
+	cond, trues, falseSc := e.splitExists(new(scratch), sc, guardTab(e, []fsm.State{"Dirty"}))
 	if cond != condTrue || trues != nil || falseSc != nil {
 		t.Fatalf("a singleton class must decide existence: %v", cond)
 	}
@@ -48,7 +48,7 @@ func TestSplitExistsDefiniteFalse(t *testing.T) {
 	rem[p.StateIndex("Shared")] = ROne
 	rem[p.StateIndex("Invalid")] = RStar
 	sc := mkScenario(e, rem, ival{1, 1})
-	cond, _, falseSc := e.splitExists(sc, guardTab(e, []fsm.State{"Dirty"}))
+	cond, _, falseSc := e.splitExists(new(scratch), sc, guardTab(e, []fsm.State{"Dirty"}))
 	if cond != condFalse {
 		t.Fatalf("an empty class must refute existence: %v", cond)
 	}
@@ -68,7 +68,7 @@ func TestSplitExistsAmbiguousBranches(t *testing.T) {
 	rem[di] = ROne
 	rem[p.StateIndex("Invalid")] = RStar
 	sc := mkScenario(e, rem, ival{1, 2})
-	cond, trues, falseSc := e.splitExists(sc, guardTab(e, []fsm.State{"Shared"}))
+	cond, trues, falseSc := e.splitExists(new(scratch), sc, guardTab(e, []fsm.State{"Shared"}))
 	if cond != condAmbiguous {
 		t.Fatalf("cond = %v, want ambiguous", cond)
 	}
@@ -91,11 +91,11 @@ func TestSplitExistsFastPathOnValidSet(t *testing.T) {
 	rem[p.StateIndex("Shared")] = RStar
 
 	sc := mkScenario(e, rem, ival{1, 1})
-	if cond, _, _ := e.splitExists(sc, guardTab(e, valid)); cond != condTrue {
+	if cond, _, _ := e.splitExists(new(scratch), sc, guardTab(e, valid)); cond != condTrue {
 		t.Fatalf("bound lo≥1 must prove existence, got %v", cond)
 	}
 	sc = mkScenario(e, rem, ival{0, 0})
-	cond, _, falseSc := e.splitExists(sc, guardTab(e, valid))
+	cond, _, falseSc := e.splitExists(new(scratch), sc, guardTab(e, valid))
 	if cond != condFalse {
 		t.Fatalf("bound hi=0 must refute existence, got %v", cond)
 	}
