@@ -15,9 +15,10 @@
 //	ccserved -spec-dir /etc/ccserved/protocols
 //
 // -spec-dir extends the built-in protocol library at startup with every
-// compiled .ccfsm protocol in the directory (write them with ccverify
-// -compile-out); the added names appear in GET /v1/protocols and are
-// addressable in verify requests like any built-in.
+// ccpsl specification (*.ccpsl) in the directory; the added names appear
+// in GET /v1/protocols and are addressable in verify requests like any
+// built-in. A file that cannot be read or parsed, or whose protocol name
+// is already taken, fails startup naming the file.
 //
 // With -peers the node joins a fault-tolerant cluster: before computing a
 // cache miss it asks the key's rendezvous-hashed owners for the cached
@@ -64,9 +65,12 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
+	"repro/internal/ccpsl"
 	"repro/internal/cluster"
 	"repro/internal/protocols"
 	"repro/internal/runctl"
@@ -123,7 +127,7 @@ func main() {
 		cacheDir     = flag.String("cache-dir", "", "durable disk cache tier directory (empty: memory only)")
 		cacheDiskMax = flag.Int64("cache-disk-bytes", 0, "disk cache tier byte budget, enforced by an LRU sweep at startup (0: unbounded)")
 		keepJobs     = flag.Int("keep-jobs", 1024, "terminal job records retained for polling")
-		specDir      = flag.String("spec-dir", "", "directory of compiled .ccfsm protocols to add to the library at startup")
+		specDir      = flag.String("spec-dir", "", "directory of ccpsl specifications (*.ccpsl) to add to the library at startup")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight jobs after SIGTERM")
 		timeout      = flag.Duration("timeout", 0, "wall-clock limit for the whole service (0: run until signaled)")
 		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -174,7 +178,7 @@ func main() {
 	}
 
 	if *specDir != "" {
-		added, err := protocols.LoadDir(*specDir)
+		added, err := loadSpecDir(*specDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ccserved:", err)
 			exit(runctl.ExitUsage)
@@ -228,6 +232,44 @@ func main() {
 		exit(code)
 	}
 	exit(code)
+}
+
+// loadSpecDir registers every ccpsl specification (*.ccpsl) in dir with
+// the protocol library and returns the names added, sorted. Files load in
+// name order, so a name collision always reports the same file; any
+// unreadable, unparseable or colliding file fails the load.
+func loadSpecDir(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	before := protocols.Names()
+	for _, e := range entries {
+		if e.IsDir() || filepath.Ext(e.Name()) != ".ccpsl" {
+			continue
+		}
+		path := filepath.Join(dir, e.Name())
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		p, err := ccpsl.Parse(string(src))
+		if err == nil {
+			err = protocols.Register(p)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("loading %s: %w", path, err)
+		}
+	}
+	// Register keys each protocol by its canonical name, so the names
+	// added are exactly the library's new entries.
+	var added []string
+	for _, name := range protocols.Names() {
+		if !slices.Contains(before, name) {
+			added = append(added, name)
+		}
+	}
+	return added, nil
 }
 
 // listenOn binds the configured TCP address or unix socket. A stale unix

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"os"
@@ -283,4 +284,67 @@ func TestMain(m *testing.M) { clitest.Main(m, main) }
 func TestBadFlagExitCode(t *testing.T) {
 	clitest.ExpectCode(t, runctl.ExitUsage, "-bogus")
 	clitest.ExpectCode(t, runctl.ExitClean, "-h")
+}
+
+// TestSpecDir pins the -spec-dir startup contract on the real entry point:
+// every *.ccpsl file loads in name order and the added names print sorted,
+// other files are ignored, and a name collision, an unparseable spec or a
+// missing directory fails startup with exit 1 naming the culprit. Each
+// case runs ccserved in a child process, so the protocols it registers
+// never reach this test binary's library and need no unregistering.
+func TestSpecDir(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "specs", "synapse.ccpsl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	renamed := func(name string) string {
+		return strings.Replace(string(src), "protocol Synapse\n", "protocol "+name+"\n", 1)
+	}
+	write := func(dir, file, content string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, file), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A daemon that loads its specs and then stops on -timeout exits 3.
+	start := func(dir string, want int) clitest.Result {
+		t.Helper()
+		return clitest.ExpectCode(t, want, "-spec-dir", dir, "-listen", "127.0.0.1:0", "-timeout", "10ms")
+	}
+
+	dir := t.TempDir()
+	write(dir, "b.ccpsl", renamed("SpecDir-B"))
+	write(dir, "a.ccpsl", renamed("SpecDir-A"))
+	write(dir, "README.txt", "not a spec")
+	res := start(dir, runctl.ExitStopped)
+	if want := fmt.Sprintf("loaded 2 protocol(s) from %s: specdir-a, specdir-b\n", dir); !strings.Contains(res.Stderr, want) {
+		t.Errorf("stderr %q lacks %q", res.Stderr, want)
+	}
+
+	// Loading the directory's protocols a second time collides on the
+	// name; so does a spec that shadows a built-in.
+	write(dir, "c.ccpsl", renamed("SpecDir-A"))
+	res = start(dir, runctl.ExitUsage)
+	if culprit := filepath.Join(dir, "c.ccpsl"); !strings.Contains(res.Stderr, culprit) || !strings.Contains(res.Stderr, "already registered") {
+		t.Errorf("duplicate name: stderr %q does not name %s", res.Stderr, culprit)
+	}
+	builtin := t.TempDir()
+	write(builtin, "synapse.ccpsl", string(src))
+	res = start(builtin, runctl.ExitUsage)
+	if !strings.Contains(res.Stderr, "synapse.ccpsl") || !strings.Contains(res.Stderr, "already registered") {
+		t.Errorf("built-in collision: stderr %q", res.Stderr)
+	}
+
+	bad := t.TempDir()
+	write(bad, "bad.ccpsl", "protocol Broken\nstates {\n")
+	res = start(bad, runctl.ExitUsage)
+	if culprit := filepath.Join(bad, "bad.ccpsl"); !strings.Contains(res.Stderr, culprit) {
+		t.Errorf("unparseable spec: stderr %q does not name %s", res.Stderr, culprit)
+	}
+
+	missing := filepath.Join(bad, "missing")
+	res = start(missing, runctl.ExitUsage)
+	if !strings.Contains(res.Stderr, missing) {
+		t.Errorf("missing directory: stderr %q does not name %s", res.Stderr, missing)
+	}
 }

@@ -11,12 +11,10 @@
 //	ccsim -protocol illinois -caches 8 -blocks 32 -workload migratory -ops 1000000
 //	ccsim -protocol dragon -crosscheck 2,3,4
 //	ccsim -protocol firefly -ops 100000000 -timeout 1m
-//	ccsim -protocol mesi -trace workload.trace.gz
 //
-// With -trace, ccsim replays a cctrace file (plain or gzipped; "-" reads
-// stdin) through the replay engine instead of generating references; the
-// trace header supplies the cache count and -caches/-blocks/-workload/-ops
-// are ignored.
+// To replay a recorded cctrace file instead of a generated workload, use
+// cctrace replay; "cctrace replay -protocol P -capacity 8 FILE" matches
+// ccsim's default cache capacity.
 //
 // Exit codes: 0 coherent, 1 usage or internal error, 2 violations found,
 // 3 stopped early (timeout or signal).
@@ -26,7 +24,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -34,7 +31,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fsm"
 	"repro/internal/protocols"
-	"repro/internal/replay"
 	"repro/internal/report"
 	"repro/internal/runctl"
 	"repro/internal/sim"
@@ -48,7 +44,6 @@ func main() {
 		blocks      = flag.Int("blocks", 16, "number of memory blocks")
 		capacity    = flag.Int("capacity", 8, "cache capacity in blocks (0: unbounded)")
 		workload    = flag.String("workload", "uniform", "uniform, hot-block, migratory, or producer-consumer")
-		traceFile   = flag.String("trace", "", "replay this cctrace file instead of generating a workload (-: stdin)")
 		ops         = flag.Int("ops", 1000000, "number of memory references")
 		seed        = flag.Int64("seed", 1993, "workload RNG seed")
 		pwrite      = flag.Float64("pwrite", 0.3, "write probability (uniform/hot-block)")
@@ -85,7 +80,7 @@ func main() {
 	ctx, stop := runctl.WithSignals(context.Background(), *timeout)
 	defer stop()
 
-	code, err := run(ctx, *protoName, *caches, *blocks, *capacity, *workload, *traceFile, *ops, *seed, *pwrite, *crossCheck)
+	code, err := run(ctx, *protoName, *caches, *blocks, *capacity, *workload, *ops, *seed, *pwrite, *crossCheck)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ccsim:", err)
 		exit(runctl.ExitUsage)
@@ -93,16 +88,12 @@ func main() {
 	exit(code)
 }
 
-// run executes the simulation (or cross-check, or trace replay) and returns
-// the process exit code (0 clean, 2 violations, 3 stopped early).
-func run(ctx context.Context, protoName string, caches, blocks, capacity int, workload, traceFile string, ops int, seed int64, pwrite float64, crossCheck string) (int, error) {
+// run executes the simulation (or cross-check) and returns the process
+// exit code (0 clean, 2 violations, 3 stopped early).
+func run(ctx context.Context, protoName string, caches, blocks, capacity int, workload string, ops int, seed int64, pwrite float64, crossCheck string) (int, error) {
 	p, err := protocols.ByName(protoName)
 	if err != nil {
 		return 0, err
-	}
-
-	if traceFile != "" {
-		return runTrace(ctx, p, traceFile, capacity)
 	}
 
 	if crossCheck != "" {
@@ -167,34 +158,7 @@ func run(ctx context.Context, protoName string, caches, blocks, capacity int, wo
 	return verdict(st, m.CheckInvariants(), stopReason), nil
 }
 
-// runTrace replays a cctrace file through the replay engine (the -trace
-// path) and reports with the same table and verdict as a generated run.
-func runTrace(ctx context.Context, p *fsm.Protocol, traceFile string, capacity int) (int, error) {
-	in := io.Reader(os.Stdin)
-	if traceFile != "-" {
-		f, err := os.Open(traceFile)
-		if err != nil {
-			return 0, err
-		}
-		defer f.Close()
-		in = f
-	}
-	res, err := replay.Replay(ctx, in, p, replay.Options{Capacity: capacity})
-	if err != nil {
-		return 0, err
-	}
-	fmt.Printf("protocol %s, %d caches, %d blocks (capacity %d), trace %s, %d references\n\n",
-		p.Name, res.Caches, res.Blocks, capacity, traceFile, res.Ops)
-	printStats(res.Stats)
-
-	var stopReason error
-	if res.Truncated {
-		stopReason = res.StopReason
-	}
-	return verdict(res.Stats, res.Violations, stopReason), nil
-}
-
-// printStats renders the coherence-traffic table shared by both run modes.
+// printStats renders the coherence-traffic table.
 func printStats(st sim.Stats) {
 	t := report.NewTable("metric", "value")
 	t.AddRow("reads / writes / replacements", fmt.Sprintf("%d / %d / %d", st.Reads, st.Writes, st.Replacements))

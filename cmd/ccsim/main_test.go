@@ -11,30 +11,30 @@ import (
 
 func TestRunWorkloads(t *testing.T) {
 	for _, wl := range []string{"uniform", "hot-block", "migratory", "producer-consumer"} {
-		if code, err := run(context.Background(), "illinois", 4, 8, 4, wl, "", 5000, 1, 0.3, ""); err != nil || code != 0 {
+		if code, err := run(context.Background(), "illinois", 4, 8, 4, wl, 5000, 1, 0.3, ""); err != nil || code != 0 {
 			t.Errorf("workload %s: code %d err %v", wl, code, err)
 		}
 	}
 }
 
 func TestRunCrossCheckMode(t *testing.T) {
-	if code, err := run(context.Background(), "msi", 0, 0, 0, "", "", 0, 0, 0, "2,3"); err != nil || code != 0 {
+	if code, err := run(context.Background(), "msi", 0, 0, 0, "", 0, 0, 0, "2,3"); err != nil || code != 0 {
 		t.Fatalf("code %d err %v", code, err)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
 	ctx := context.Background()
-	if _, err := run(ctx, "nonexistent", 4, 8, 4, "uniform", "", 100, 1, 0.3, ""); err == nil {
+	if _, err := run(ctx, "nonexistent", 4, 8, 4, "uniform", 100, 1, 0.3, ""); err == nil {
 		t.Error("unknown protocol must error")
 	}
-	if _, err := run(ctx, "illinois", 4, 8, 4, "chaotic", "", 100, 1, 0.3, ""); err == nil {
+	if _, err := run(ctx, "illinois", 4, 8, 4, "chaotic", 100, 1, 0.3, ""); err == nil {
 		t.Error("unknown workload must error")
 	}
-	if _, err := run(ctx, "illinois", 0, 8, 4, "uniform", "", 100, 1, 0.3, ""); err == nil {
+	if _, err := run(ctx, "illinois", 0, 8, 4, "uniform", 100, 1, 0.3, ""); err == nil {
 		t.Error("zero caches must error")
 	}
-	if _, err := run(ctx, "illinois", 4, 8, 4, "uniform", "", 100, 1, 0.3, "x"); err == nil {
+	if _, err := run(ctx, "illinois", 4, 8, 4, "uniform", 100, 1, 0.3, "x"); err == nil {
 		t.Error("bad crosscheck must error")
 	}
 }
@@ -45,10 +45,10 @@ func TestRunErrors(t *testing.T) {
 func TestRunTimeoutStops(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if code, err := run(ctx, "illinois", 4, 8, 4, "uniform", "", 5000, 1, 0.3, ""); err != nil || code != 3 {
+	if code, err := run(ctx, "illinois", 4, 8, 4, "uniform", 5000, 1, 0.3, ""); err != nil || code != 3 {
 		t.Errorf("simulation under expired deadline: code %d err %v, want 3 nil", code, err)
 	}
-	if code, err := run(ctx, "msi", 0, 0, 0, "", "", 0, 0, 0, "2"); err != nil || code != 3 {
+	if code, err := run(ctx, "msi", 0, 0, 0, "", 0, 0, 0, "2"); err != nil || code != 3 {
 		t.Errorf("cross-check under expired deadline: code %d err %v, want 3 nil", code, err)
 	}
 }

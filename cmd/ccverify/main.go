@@ -10,18 +10,12 @@
 //	ccverify -run symbolic -progress illinois
 //	ccverify -run enum-strict -n 4 -metrics-json run-metrics.json illinois
 //	ccverify -symbolic-workers 8 synthetic-24
-//	ccverify -protocol illinois -compile-out illinois.ccfsm
-//	ccverify -load illinois.ccfsm
 //
 // The protocol may also be named as the positional argument, as in the last
-// two forms. -run selects the engine: symbolic (the default: the full
+// three forms. -run selects the engine: symbolic (the default: the full
 // pipeline with graph construction and cross-checks), enum-strict (Figure 2
 // exhaustive search for -n caches) or enum-counting (the Definition 5
 // counting-equivalence variant).
-//
-// -compile-out writes the protocol in the compact binary .ccfsm interchange
-// format (see docs/ccpsl.md) and exits without verifying; -load reads a
-// .ccfsm file as the protocol source, as an alternative to -protocol/-spec.
 //
 // It prints the protocol's essential states with their context variables,
 // the verdict (permissible or erroneous, with witness paths), and optionally
@@ -52,7 +46,6 @@ import (
 
 	"repro/internal/ccpsl"
 	"repro/internal/ckptio"
-	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/enum"
 	"repro/internal/fsm"
@@ -81,8 +74,6 @@ type cliOpts struct {
 	keep        int    // good snapshot generations retained at -checkpoint
 	progress    bool   // one stderr line per expansion level and phase
 	metricsJSON string // write the metrics snapshot here after the run
-	loadFile    string // read the protocol from this .ccfsm file
-	compileOut  string // write the protocol as .ccfsm here and exit
 }
 
 // observability builds the run's observer and metrics registry from the
@@ -112,8 +103,6 @@ func main() {
 	var (
 		protoName   = flag.String("protocol", "", "built-in protocol name ("+strings.Join(protocols.Names(), ", ")+"); may also be given as the positional argument")
 		specFile    = flag.String("spec", "", "path to a ccpsl protocol specification")
-		loadFile    = flag.String("load", "", "path to a compiled .ccfsm protocol (alternative to -protocol/-spec)")
-		compileOut  = flag.String("compile-out", "", "write the protocol as compact binary .ccfsm to this file and exit")
 		engine      = flag.String("run", "symbolic", "engine: symbolic (full pipeline), enum-strict or enum-counting")
 		nCaches     = flag.Int("n", 4, "cache count for the enum engines")
 		symWorkers  = flag.Int("symbolic-workers", 1, "parallel speculation workers for the symbolic expansion (1: sequential)")
@@ -135,7 +124,7 @@ func main() {
 		showVersion = flag.Bool("version", false, "print version information and exit")
 	)
 	runctl.ParseFlags(flag.CommandLine, os.Args[1:])
-	if flag.NArg() == 1 && *protoName == "" && *specFile == "" && *loadFile == "" {
+	if flag.NArg() == 1 && *protoName == "" && *specFile == "" {
 		*protoName = flag.Arg(0)
 	} else if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "ccverify: unexpected arguments %q\n", flag.Args())
@@ -181,7 +170,6 @@ func main() {
 		crossCheck: *crossCheck, jsonFile: *jsonFile,
 		checkpoint: *checkpoint, resume: *resume, keep: *keep,
 		progress: *progress, metricsJSON: *metricsJSON,
-		loadFile: *loadFile, compileOut: *compileOut,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ccverify:", err)
@@ -220,16 +208,9 @@ func runCompare(pair string) error {
 // run dispatches on -run, threads the observability flags through, and
 // returns the process exit code (0 clean, 2 violations, 3 stopped early).
 func run(ctx context.Context, protoName, specFile string, o cliOpts) (int, error) {
-	p, err := loadProtocol(protoName, specFile, o.loadFile)
+	p, err := loadProtocol(protoName, specFile)
 	if err != nil {
 		return 0, err
-	}
-	if o.compileOut != "" {
-		if err := compile.WriteFile(o.compileOut, p); err != nil {
-			return 0, err
-		}
-		fmt.Printf("wrote compiled protocol %s to %s\n", p.Name, o.compileOut)
-		return runctl.ExitClean, nil
 	}
 	observer, reg := o.observability()
 	var code int
@@ -401,16 +382,10 @@ func runSymbolic(ctx context.Context, p *fsm.Protocol, o cliOpts, observer obs.O
 	return runctl.ExitClean, nil
 }
 
-func loadProtocol(protoName, specFile, loadFile string) (*fsm.Protocol, error) {
-	sources := 0
-	for _, s := range []string{protoName, specFile, loadFile} {
-		if s != "" {
-			sources++
-		}
-	}
+func loadProtocol(protoName, specFile string) (*fsm.Protocol, error) {
 	switch {
-	case sources > 1:
-		return nil, fmt.Errorf("use exactly one of -protocol, -spec or -load")
+	case protoName != "" && specFile != "":
+		return nil, fmt.Errorf("use either -protocol or -spec, not both")
 	case protoName != "":
 		return protocols.ByName(protoName)
 	case specFile != "":
@@ -419,9 +394,7 @@ func loadProtocol(protoName, specFile, loadFile string) (*fsm.Protocol, error) {
 			return nil, err
 		}
 		return ccpsl.Parse(string(src))
-	case loadFile != "":
-		return compile.ReadFile(loadFile)
 	default:
-		return nil, fmt.Errorf("one of -protocol, -spec or -load is required")
+		return nil, fmt.Errorf("one of -protocol or -spec is required")
 	}
 }

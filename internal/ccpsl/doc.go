@@ -50,6 +50,8 @@
 //	source         = "none" | "keep" | "memory" | "from-cache" IDENT+
 //	dataflag       = "store" | "write-through" | "update-sharers"
 //	               | "writeback-supplier" | "writeback-self" | "drop"
+//	IDENT          = (letter | "_") { letter | digit | "_" | "-" | "!" }
+//	                                       ; a "-" before ">" ends it
 //
 // Parse compiles and validates a spec; Format renders an fsm.Protocol back
 // into the language, and the two round-trip.

@@ -131,8 +131,10 @@ func isIdentStart(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_'
 }
 
+// isIdentPart admits '!' so mutant names ("Illinois!drop-invalidation")
+// parse back; it is not a ccpsl token anywhere else.
 func isIdentPart(c byte) bool {
-	return isIdentStart(c) || c >= '0' && c <= '9' || c == '-'
+	return isIdentStart(c) || c >= '0' && c <= '9' || c == '-' || c == '!'
 }
 
 // quoteList renders identifiers for error messages.

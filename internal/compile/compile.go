@@ -12,9 +12,7 @@
 // The semantics of Step are a transliteration of fsm.Step onto integer
 // states: identical transition order, identical data-version bookkeeping
 // and identical error text, which the compile-parity suite pins across
-// every library spec and every mutant. The package also defines the .ccfsm
-// binary interchange format (binary.go) so compiled corpora can be shipped
-// between processes without re-parsing ccpsl.
+// every library spec and every mutant.
 package compile
 
 import (

@@ -2,13 +2,10 @@ package protocols
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 
-	"repro/internal/compile"
 	"repro/internal/fsm"
 )
 
@@ -25,7 +22,7 @@ func mustValidate(p *fsm.Protocol) {
 type Builder func() *fsm.Protocol
 
 // mu guards registry: the built-in table is extended at runtime by Register
-// and LoadDir (e.g. ccserved -spec-dir), and read concurrently by lookups.
+// (e.g. ccserved -spec-dir), and read concurrently by lookups.
 var mu sync.RWMutex
 
 var registry = map[string]Builder{
@@ -101,34 +98,6 @@ func Register(p *fsm.Protocol) error {
 	}
 	registry[key] = func() *fsm.Protocol { return master.Clone() }
 	return nil
-}
-
-// LoadDir registers every compiled protocol (*.ccfsm) in dir, returning the
-// canonical names added, sorted. Files are loaded in name order so
-// duplicate-name errors are deterministic; any unreadable, corrupt or
-// conflicting file fails the whole load.
-func LoadDir(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("protocols: %w", err)
-	}
-	var added []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".ccfsm") {
-			continue
-		}
-		path := filepath.Join(dir, e.Name())
-		p, err := compile.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("protocols: loading %s: %w", path, err)
-		}
-		if err := Register(p); err != nil {
-			return nil, fmt.Errorf("protocols: loading %s: %w", path, err)
-		}
-		added = append(added, canonicalName(p.Name))
-	}
-	sort.Strings(added)
-	return added, nil
 }
 
 // All returns fresh instances of every registered protocol, sorted by name.

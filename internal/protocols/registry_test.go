@@ -1,13 +1,10 @@
 package protocols
 
 import (
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/compile"
 	"repro/internal/fsm"
 )
 
@@ -115,54 +112,5 @@ func TestRegisterAndLookup(t *testing.T) {
 	}
 	if !found {
 		t.Error("registered name missing from Names()")
-	}
-}
-
-func TestLoadDir(t *testing.T) {
-	dir := t.TempDir()
-	for _, name := range []string{"LoadDir-A", "LoadDir-B"} {
-		p, err := ByName("synapse")
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Name = name
-		if err := compile.WriteFile(filepath.Join(dir, name+".ccfsm"), p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Non-.ccfsm files are ignored.
-	if err := os.WriteFile(filepath.Join(dir, "README.txt"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	added, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range added {
-		unregister(t, name)
-	}
-	want := []string{"loaddir-a", "loaddir-b"}
-	if !reflect.DeepEqual(added, want) {
-		t.Fatalf("added = %v, want %v", added, want)
-	}
-	for _, name := range want {
-		if _, err := ByName(name); err != nil {
-			t.Errorf("ByName(%q) after LoadDir: %v", name, err)
-		}
-	}
-	// A second load of the same directory collides on every name.
-	if _, err := LoadDir(dir); err == nil {
-		t.Error("reloading the same directory must error on duplicate names")
-	}
-	// Corrupt files fail the load.
-	bad := t.TempDir()
-	if err := os.WriteFile(filepath.Join(bad, "bad.ccfsm"), []byte("not a ccfsm"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadDir(bad); err == nil {
-		t.Error("corrupt .ccfsm must fail the load")
-	}
-	if _, err := LoadDir(filepath.Join(bad, "missing")); err == nil {
-		t.Error("missing directory must error")
 	}
 }

@@ -164,9 +164,9 @@ func (s *Server) expandBatch(req *BatchRequest) ([]batchJob, error) {
 				if m.NeedsStrict && !sw.Strict {
 					continue
 				}
-				// Mutant names carry "!" as the catalog's visual marker;
-				// ccpsl identifiers only allow "-", and the canonical spec
-				// must round-trip through the parser on a forwarding peer.
+				// Mutant names carry "!" as the catalog's visual marker.
+				// ccpsl parses "!" too; the rename stays so that batch job
+				// names, cache keys and report bytes do not move.
 				m.Protocol.Name = strings.ReplaceAll(m.Protocol.Name, "!", "-")
 				if err := add(m.Protocol.Name, m.Protocol, ccpsl.Format(m.Protocol), sw.JobOptions); err != nil {
 					return nil, err

@@ -15,7 +15,7 @@
 // The package is a thin facade over the implementation packages:
 //
 //   - internal/fsm        protocol model (states, rules, data effects)
-//   - internal/compile    shared compiled representation and .ccfsm format
+//   - internal/compile    shared compiled representation (integer jump tables)
 //   - internal/symbolic   composite states and the expansion algorithm
 //   - internal/enum       explicit-state enumeration baselines
 //   - internal/protocols  Illinois, Write-Once, Synapse, Berkeley, Firefly,
@@ -179,23 +179,6 @@ type CompiledProtocol = compile.Protocol
 // Compile lowers a protocol into its compiled representation.
 func Compile(p *Protocol) (*CompiledProtocol, error) { return compile.Compile(p) }
 
-// EncodeProtocol renders a protocol in the compact binary .ccfsm
-// interchange format (see docs/ccpsl.md); DecodeProtocol inverts it.
-func EncodeProtocol(p *Protocol) ([]byte, error) { return compile.EncodeBinary(p) }
-
-// DecodeProtocol parses a .ccfsm document back into a validated protocol.
-func DecodeProtocol(data []byte) (*Protocol, error) { return compile.DecodeBinary(data) }
-
-// WriteProtocolFile writes p to path in the .ccfsm format.
-func WriteProtocolFile(path string, p *Protocol) error { return compile.WriteFile(path, p) }
-
-// ReadProtocolFile reads a .ccfsm file into a validated protocol.
-func ReadProtocolFile(path string) (*Protocol, error) { return compile.ReadFile(path) }
-
 // RegisterProtocol adds a protocol to the library under its canonical
 // name, making it addressable by ProtocolByName like any built-in.
 func RegisterProtocol(p *Protocol) error { return protocols.Register(p) }
-
-// LoadProtocolDir registers every .ccfsm protocol in dir, returning the
-// names added.
-func LoadProtocolDir(dir string) ([]string, error) { return protocols.LoadDir(dir) }
