@@ -130,7 +130,7 @@ func (cs ConfigState) config() (*fsm.Config, error) {
 // are folded back in (rank order makes the merge trivial: every rank
 // indexes its slot), so the snapshot is self-contained and resuming it
 // needs no spill files.
-func (b *bfs) snapshot(frontier []node) (*Checkpoint, error) {
+func (b *bfs) snapshot(frontier *frontier) (*Checkpoint, error) {
 	cp := &Checkpoint{
 		Version:  CheckpointVersion,
 		Protocol: b.p.Name,
@@ -138,15 +138,15 @@ func (b *bfs) snapshot(frontier []node) (*Checkpoint, error) {
 		Mode:     b.mode,
 		Strict:   b.opts.Strict,
 		Visits:   b.res.Visits,
-		Visited:  make([]string, b.visited.size()),
-		Tuples:   make([]string, 0, b.tuples.size()),
+		Visited:  make([]string, b.visited.Len()),
+		Tuples:   make([]string, 0, b.tuples.Len()),
 		Parents:  make([]ParentState, len(b.parents)),
-		Frontier: make([]ConfigState, len(frontier)),
+		Frontier: make([]ConfigState, frontier.len()),
 	}
-	fillVisited := func(k Key, r uint32) { cp.Visited[r] = b.kc.render(k) }
-	b.visited.forEach(fillVisited)
-	addTuple := func(k Key, _ uint32) { cp.Tuples = append(cp.Tuples, b.kc.renderTuple(k)) }
-	b.tuples.forEach(addTuple)
+	fillVisited := func(k []byte, r uint32) { cp.Visited[r] = b.kc.render(k) }
+	b.visited.ForEach(fillVisited)
+	addTuple := func(k []byte, _ uint32) { cp.Tuples = append(cp.Tuples, b.kc.renderTuple(k)) }
+	b.tuples.ForEach(addTuple)
 	if b.spill != nil {
 		if err := b.forEachSpilled(b.spill.visitedFiles, fillVisited); err != nil {
 			return nil, err
@@ -167,8 +167,8 @@ func (b *bfs) snapshot(frontier []node) (*Checkpoint, error) {
 			Op:     string(b.p.Ops[rec.op]),
 		}
 	}
-	for i, nd := range frontier {
-		cp.Frontier[i] = configState(nd.cfg)
+	for i := range cp.Frontier {
+		cp.Frontier[i] = configState(b.kc.decode(entry(frontier.reps, i, b.kc.w)))
 	}
 	for _, rc := range b.res.Reachable {
 		cp.Reachable = append(cp.Reachable, configState(rc))
@@ -234,7 +234,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // resumeBFS rebuilds the run state from opts.Resume and returns the
 // checkpoint's frontier (never nil) with each state's admission rank. A
 // non-zero n or a non-empty opts.Mode must match the checkpoint.
-func resumeBFS(p *fsm.Protocol, n int, opts Options) (*bfs, []node, error) {
+func resumeBFS(p *fsm.Protocol, n int, opts Options) (*bfs, *frontier, error) {
 	cp := opts.Resume
 	if cp.Version != CheckpointVersion {
 		return nil, nil, fmt.Errorf("enum: unsupported checkpoint version %d (this build reads version %d; checkpoints from older builds cannot be resumed — re-run the enumeration)", cp.Version, CheckpointVersion)
@@ -262,10 +262,6 @@ func resumeBFS(p *fsm.Protocol, n int, opts Options) (*bfs, []node, error) {
 	b.opts.Resume = nil // the restored state replaces it; don't pin it for the run
 	b.res.Visits = cp.Visits
 	b.parents = make([]parentRec, 0, len(cp.Parents))
-	known := make(map[fsm.State]bool, len(p.States))
-	for _, s := range p.States {
-		known[s] = true
-	}
 	restoreConfig := func(cs ConfigState, what string) (*fsm.Config, error) {
 		c, err := cs.config()
 		if err != nil {
@@ -275,7 +271,7 @@ func resumeBFS(p *fsm.Protocol, n int, opts Options) (*bfs, []node, error) {
 			return nil, fmt.Errorf("enum: checkpoint %s config has %d caches, want %d", what, len(c.States), cp.N)
 		}
 		for _, s := range c.States {
-			if !known[s] {
+			if b.kc.cp.StateIndex(s) < 0 {
 				return nil, fmt.Errorf("enum: checkpoint %s config references unknown state %q", what, s)
 			}
 		}
@@ -290,10 +286,10 @@ func resumeBFS(p *fsm.Protocol, n int, opts Options) (*bfs, []node, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		if b.visited.has(k) {
+		if b.visited.Has(k) {
 			return nil, nil, fmt.Errorf("enum: checkpoint visited list repeats key %q", s)
 		}
-		b.visited.insert(k)
+		b.visited.Insert(k)
 		ps := cp.Parents[i]
 		if ps.Parent == -1 {
 			b.parents = append(b.parents, parentRec{parent: noParent})
@@ -316,23 +312,25 @@ func resumeBFS(p *fsm.Protocol, n int, opts Options) (*bfs, []node, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		if !b.tuples.has(k) {
-			b.tuples.insert(k)
+		if !b.tuples.Has(k) {
+			b.tuples.Insert(k)
 		}
 	}
-	frontier := make([]node, len(cp.Frontier))
-	for i, cs := range cp.Frontier {
+	frontier := &frontier{}
+	for _, cs := range cp.Frontier {
 		c, err := restoreConfig(cs, "frontier")
 		if err != nil {
 			return nil, nil, err
 		}
-		r, ok := b.visited.rank(b.kc.key(c))
+		rep := b.kc.encode(c, nil)
+		key := b.kc.keyOf(rep, nil)
+		r, ok := b.visited.Rank(key)
 		if !ok {
-			return nil, nil, fmt.Errorf("enum: checkpoint frontier state %q not in visited set", b.kc.render(b.kc.key(c)))
+			return nil, nil, fmt.Errorf("enum: checkpoint frontier state %q not in visited set", b.kc.render(key))
 		}
-		frontier[i] = node{cfg: c, rank: r}
+		frontier.push(rep, r)
 	}
-	b.frontierLen = len(frontier)
+	b.frontierLen = frontier.len()
 	b.bytes = b.estBytes()
 	for _, cs := range cp.Reachable {
 		c, err := restoreConfig(cs, "reachable")

@@ -10,6 +10,7 @@ import (
 	"repro/internal/fsm"
 	"repro/internal/obs"
 	"repro/internal/runctl"
+	"repro/internal/stateset"
 )
 
 // Canonical data markers. Explicit-state enumeration would not terminate
@@ -151,12 +152,10 @@ type Result struct {
 // OK reports whether the protocol verified cleanly at this cache count.
 func (r *Result) OK() bool { return len(r.Violations) == 0 && len(r.SpecErrors) == 0 }
 
-// strictKey is the legacy string identity of a configuration up to strict
-// equality (Section 3.1). The engines key states by the packed Key of
-// key.go instead; the string forms remain as the reference implementation
-// the packed encoding is property-tested against, as the rendering of keys
-// in checkpoints and witnesses, and as the fallback identity for runs too
-// large to pack.
+// strictKey is the string identity of a configuration up to strict
+// equality (Section 3.1). The engine keys states by the packed bytes of
+// key.go instead; the string forms are the reference implementation the
+// packed keys are property-tested against and the format they render to.
 func strictKey(c *fsm.Config) string { return c.Key() }
 
 // countingKey identifies configurations up to cache permutation
@@ -173,8 +172,8 @@ func countingKey(c *fsm.Config) string {
 
 // CanonicalKey renders the canonical string identity of a canonicalized
 // configuration under the given mode, in the exact format checkpoints and
-// witness paths store (PathStep.To). It is computed by the legacy string
-// reference implementation — not the packed fast-path codec — so an
+// witness paths store (PathStep.To). It is computed by the string
+// reference implementation — not the packed key codec — so an
 // independent auditor (internal/campaign) replaying a witness through
 // fsm.Step can match claimed keys without trusting the engine's packed
 // encoding.
@@ -213,7 +212,7 @@ func validMode(mode string) error {
 // worker count, and a checkpoint resumes at any worker count.
 func Run(ctx context.Context, p *fsm.Protocol, n int, opts Options) (*Result, error) {
 	var b *bfs
-	var frontier []node
+	var frontier *frontier
 	var err error
 	if opts.Resume != nil {
 		b, frontier, err = resumeBFS(p, n, opts)
@@ -253,18 +252,19 @@ type bfs struct {
 	orun      *obs.Run // nil when unobserved: the allocation-free fast path
 	kc        *keyCodec
 	mode      string
-	symmetric bool
 	maxStates int
 
-	// visited and tuples are the compact dedup sets (see store.go); a
-	// state's rank in visited is its admission order. parents is the
-	// rank-indexed provenance: parents[r] records how the state admitted
-	// at rank r was first reached. opIx maps operations to their
-	// Protocol.Ops index for the uint8 op field.
-	visited visitedStore
-	tuples  visitedStore
+	// visited holds the keys of the admitted states and tuples their
+	// state-only tuples; a state's rank in visited is its admission
+	// order. parents is the rank-indexed provenance: parents[r] records
+	// how the state admitted at rank r was first reached. opIx maps
+	// operations to their Protocol.Ops index for the uint8 op field.
+	visited *stateset.Set
+	tuples  *stateset.Set
 	parents []parentRec
 	opIx    map[fsm.Op]uint8
+	// tuple is the reconcile's scratch for tuple keys.
+	tuple []byte
 
 	// frontierLen is the current worklist length, maintained by the run
 	// loop for the footprint estimate.
@@ -283,29 +283,33 @@ type bfs struct {
 	res *Result
 }
 
-// node is one frontier entry: an admitted configuration waiting to be
-// expanded, with its admission rank, which the provenance records of
-// its successors cite.
-type node struct {
-	cfg  *fsm.Config
-	rank uint32
+// frontier is a BFS level: the representatives of its states (key.go),
+// w bytes each in admission order, and their admission ranks, which the
+// provenance records of their successors cite.
+type frontier struct {
+	reps  []byte
+	ranks []uint32
 }
 
-// cfgBytes estimates the resident cost of one frontier configuration: the
-// fsm.Config struct, its States slice of string headers and its Versions
-// slice. The constant is pinned against measured heap growth by
-// TestStateBytesEstimate, which also covers the store estimates it is
-// summed with in estBytes.
-func cfgBytes(n int) int64 {
-	return int64(24*n + 128)
+func (f *frontier) len() int { return len(f.ranks) }
+
+func (f *frontier) push(rep []byte, rank uint32) {
+	f.reps = append(f.reps, rep...)
+	f.ranks = append(f.ranks, rank)
 }
+
+// frontierBytes estimates the resident cost of one frontier state: its
+// w-byte representative and its 4-byte rank. TestStateBytesEstimate pins
+// it against measured heap growth, with the store estimates it is summed
+// with in estBytes.
+func frontierBytes(w int) int64 { return int64(w + 4) }
 
 // estBytes estimates the run's resident footprint: the visited and tuple
-// sets, the provenance records and the frontier configurations.
+// sets, the provenance records and the frontier.
 func (b *bfs) estBytes() int64 {
-	return b.visited.bytes() + b.tuples.bytes() +
+	return b.visited.Bytes() + b.tuples.Bytes() +
 		int64(cap(b.parents))*parentRecBytes +
-		int64(b.frontierLen)*cfgBytes(b.n)
+		int64(b.frontierLen)*frontierBytes(b.kc.w)
 }
 
 // newBFS validates the inputs and builds the empty run state shared by
@@ -334,22 +338,25 @@ func newBFS(p *fsm.Protocol, n int, mode string, opts Options) (*bfs, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &bfs{
-		p: p, n: n, opts: opts, kc: newKeyCodec(p, n, mode), mode: mode,
+	kc, err := newKeyCodec(p, n, mode)
+	if err != nil {
+		return nil, err
+	}
+	return &bfs{
+		p: p, n: n, opts: opts, kc: kc, mode: mode,
 		orun:      opts.Sink().Run("enum-"+mode, p.Name),
-		symmetric: mode == ModeCounting,
 		maxStates: maxStates,
+		visited:   stateset.New(kc.w),
+		tuples:    stateset.New(kc.w - 1),
 		opIx:      opIx,
 		res:       &Result{Protocol: p, N: n},
-	}
-	b.visited, b.tuples = newStores(b.kc, n)
-	return b, nil
+	}, nil
 }
 
 // startBFS seeds a fresh run with the initial configuration and returns
 // the first frontier, or a nil frontier when the run already ended
 // (initial-state violation under StopOnViolation).
-func startBFS(p *fsm.Protocol, n int, opts Options) (*bfs, []node, error) {
+func startBFS(p *fsm.Protocol, n int, opts Options) (*bfs, *frontier, error) {
 	mode := opts.Mode
 	if mode == "" {
 		mode = ModeStrict
@@ -360,9 +367,10 @@ func startBFS(p *fsm.Protocol, n int, opts Options) (*bfs, []node, error) {
 	}
 	init := fsm.NewConfig(p, n)
 	Canonicalize(init)
-	b.visited.insert(b.kc.key(init))
+	rep := b.kc.encode(init, nil)
+	b.visited.Insert(b.kc.keyOf(rep, nil))
 	b.parents = append(b.parents, parentRec{parent: noParent})
-	b.tuples.insert(b.kc.tupleKey(init))
+	b.tuples.Insert(b.kc.tupleOf(rep, nil))
 	b.frontierLen = 1
 	b.bytes = b.estBytes()
 	if opts.KeepReachable {
@@ -376,7 +384,9 @@ func startBFS(p *fsm.Protocol, n int, opts Options) (*bfs, []node, error) {
 			return b, nil, nil
 		}
 	}
-	return b, []node{{cfg: init, rank: 0}}, nil
+	f := &frontier{}
+	f.push(rep, 0)
+	return b, f, nil
 }
 
 // stopCheck evaluates the level-boundary budgets: context liveness,
@@ -396,7 +406,7 @@ func (b *bfs) stopCheck(ctx context.Context) error {
 // stop finalizes an early stop at a clean boundary: frontier holds the
 // states admitted but not yet expanded, so a checkpoint taken here resumes
 // to results identical to an uninterrupted run.
-func (b *bfs) stop(reason error, frontier []node) {
+func (b *bfs) stop(reason error, frontier *frontier) {
 	b.res.StopReason = reason
 	b.res.Truncated = true
 	b.finish()
@@ -411,7 +421,7 @@ func (b *bfs) stop(reason error, frontier []node) {
 }
 
 // maybeCheckpoint emits a periodic snapshot when due.
-func (b *bfs) maybeCheckpoint(frontier []node) error {
+func (b *bfs) maybeCheckpoint(frontier *frontier) error {
 	if b.opts.OnCheckpoint == nil || b.opts.CheckpointEvery <= 0 || b.sinceCp < b.opts.CheckpointEvery {
 		return nil
 	}
@@ -425,31 +435,35 @@ func (b *bfs) maybeCheckpoint(frontier []node) error {
 }
 
 func (b *bfs) finish() {
-	b.res.Unique = b.visited.size()
-	b.res.TupleStates = b.tuples.size()
+	b.res.Unique = b.visited.Len()
+	b.res.TupleStates = b.tuples.Len()
 	b.bytes = b.estBytes()
 	b.res.EstBytes = b.bytes
 }
 
-// commit installs one candidate that is new to the visited set:
+// commit installs candidate i of lw, which is new to the visited set:
 // provenance, tuple census, violation recording and the exact state cap.
-// It appends the admitted state to *next and reports true when the run
+// It appends the admitted state to next and reports true when the run
 // must end now (StopOnViolation or state budget).
-func (b *bfs) commit(c *candidate, next *[]node) bool {
-	rank := b.visited.insert(c.key)
+func (b *bfs) commit(lw *levelWork, i int, next *frontier) bool {
+	c, w := &lw.cands[i], b.kc.w
+	key, rep := entry(lw.keys, i, w), entry(lw.reps, i, w)
+	rank := b.visited.Insert(key)
 	b.parents = append(b.parents, parentRec{
 		parent: c.parent,
 		cache:  uint16(c.cache),
-		op:     b.opIx[c.op],
+		op:     uint8(c.op),
 	})
-	if !c.tupleDup && !b.tuples.has(c.tuple) {
-		b.tuples.insert(c.tuple)
+	if !c.tupleDup {
+		if b.tuple = b.kc.tupleOf(rep, b.tuple); !b.tuples.Has(b.tuple) {
+			b.tuples.Insert(b.tuple)
+		}
 	}
 	if len(c.viol) > 0 {
 		b.res.Violations = append(b.res.Violations, Violation{
-			Config:     c.cfg.Clone(),
+			Config:     b.kc.decode(rep),
 			Violations: c.viol,
-			Path:       b.witness(c.key, rank),
+			Path:       b.witness(key, rank),
 		})
 		b.orun.Event(obs.MetricViolations, 1)
 		if b.opts.StopOnViolation {
@@ -458,15 +472,15 @@ func (b *bfs) commit(c *candidate, next *[]node) bool {
 		}
 	}
 	if b.opts.KeepReachable {
-		b.res.Reachable = append(b.res.Reachable, c.cfg.Clone())
+		b.res.Reachable = append(b.res.Reachable, b.kc.decode(rep))
 	}
-	if b.visited.size() >= b.maxStates {
+	if b.visited.Len() >= b.maxStates {
 		b.res.StopReason = runctl.ErrStateBudget
 		b.res.Truncated = true
 		b.finish()
 		return true
 	}
-	*next = append(*next, node{cfg: c.cfg, rank: rank})
+	next.push(rep, rank)
 	b.frontierLen++
 	return false
 }
@@ -483,7 +497,7 @@ var testLevelHook func(level int)
 // a mid-level stop — does not depend on the worker count. Spilling,
 // budgets, cancellation and periodic checkpoints are handled between
 // levels; only StopOnViolation and the exact state cap stop mid-level.
-func (b *bfs) run(ctx context.Context, frontier []node, workers int) (*Result, error) {
+func (b *bfs) run(ctx context.Context, cur *frontier, workers int) (*Result, error) {
 	sp := b.orun.Phase(obs.PhaseExpand)
 	defer sp.End()
 	if err := b.initSpill(); err != nil {
@@ -492,25 +506,27 @@ func (b *bfs) run(ctx context.Context, frontier []node, workers int) (*Result, e
 	// Bases for run-relative level stats (Visits and the visited set may
 	// carry over from a resumed checkpoint, and registry counters must not
 	// count them twice).
-	visits0, admitted0 := b.res.Visits, b.visited.size()
-	for level := 0; len(frontier) > 0; level++ {
-		b.frontierLen = len(frontier)
+	visits0, admitted0 := b.res.Visits, b.visited.Len()
+	next := &frontier{}
+	for level := 0; cur.len() > 0; level++ {
+		b.frontierLen = cur.len()
 		if err := b.maybeSpill(); err != nil {
 			return nil, err
 		}
 		if err := b.stopCheck(ctx); err != nil {
-			b.stop(err, frontier)
+			b.stop(err, cur)
 			return b.res, nil
 		}
-		if err := b.maybeCheckpoint(frontier); err != nil {
+		if err := b.maybeCheckpoint(cur); err != nil {
 			return nil, err
 		}
 		if testLevelHook != nil {
 			testLevelHook(level)
 		}
-		work := b.expandLevel(level, frontier, workers)
+		work := b.expandLevel(level, cur, workers)
 		rsp := b.orun.Phase(obs.PhaseReconcile)
-		next, stopped, err := b.reconcile(work)
+		next.reps, next.ranks = next.reps[:0], next.ranks[:0]
+		stopped, err := b.reconcile(work, next)
 		rsp.End()
 		if err != nil {
 			return nil, err
@@ -518,21 +534,17 @@ func (b *bfs) run(ctx context.Context, frontier []node, workers int) (*Result, e
 		if stopped {
 			return b.res, nil
 		}
-		for _, nd := range frontier {
-			releaseConfig(nd.cfg)
-		}
-		b.sinceCp += len(frontier)
-		putFrontierSlice(frontier)
-		frontier = next
-		b.frontierLen = len(frontier)
+		b.sinceCp += cur.len()
+		cur, next = next, cur
+		b.frontierLen = cur.len()
 		b.bytes = b.estBytes()
 		visits := b.res.Visits - visits0
 		b.orun.Level(obs.LevelStats{
 			Level:     level,
-			Frontier:  len(frontier),
-			Essential: b.visited.size(),
+			Frontier:  cur.len(),
+			Essential: b.visited.Len(),
 			Visits:    visits,
-			Pruned:    visits - (b.visited.size() - admitted0),
+			Pruned:    visits - (b.visited.Len() - admitted0),
 			EstBytes:  b.bytes,
 		})
 	}
@@ -540,51 +552,55 @@ func (b *bfs) run(ctx context.Context, frontier []node, workers int) (*Result, e
 	return b.res, nil
 }
 
-// reconcile commits one level's candidates in worker order, re-checking
-// each against the visited set: a candidate can duplicate one an earlier
-// worker committed this level, or, when the expansion path could not
-// pre-check membership (string keys, interpreted expansion), one
-// committed before. On a mid-level stop Visits counts exactly the
-// successors the sequential algorithm would have generated by then: all
-// of the earlier workers' plus the stopping candidate's ordinal.
-func (b *bfs) reconcile(work []levelWork) (next []node, stopped bool, err error) {
+// reconcile commits one level's candidates into next in worker order,
+// re-checking each against the visited set, since a candidate can
+// duplicate one an earlier worker committed this level. On a mid-level
+// stop Visits and SpecErrors cover exactly the successors the sequential
+// algorithm would have generated by then: all of the earlier workers'
+// and, of the stopping worker's, those before the stopping candidate.
+func (b *bfs) reconcile(work []levelWork, next *frontier) (stopped bool, err error) {
 	if err := b.spillFilter(work); err != nil {
-		return nil, false, err
+		return false, err
 	}
-	next = getFrontierSlice()
 	for w := range work {
 		lw := &work[w]
-		if len(lw.errs) > 0 {
-			b.res.SpecErrors = append(b.res.SpecErrors, lw.errs...)
-			b.orun.Event("spec_errors_total", int64(len(lw.errs)))
-		}
 		for i := range lw.cands {
 			c := &lw.cands[i]
-			if c.spilled || b.visited.has(c.key) {
-				releaseConfig(c.cfg)
+			if c.spilled || b.visited.Has(entry(lw.keys, i, b.kc.w)) {
 				continue
 			}
-			if b.commit(c, &next) {
+			if b.commit(lw, i, next) {
+				b.specErrors(lw.errs, c.ord)
 				b.res.Visits += c.ord
-				return nil, true, nil
+				return true, nil
 			}
 		}
+		b.specErrors(lw.errs, lw.gen+1)
 		b.res.Visits += lw.gen
 	}
-	return next, false, nil
+	return false, nil
 }
 
-// SymmetryShadowed reports whether the engines' counting-mode expansion
-// would skip cache i of c as permutation-equivalent to a lower-indexed
-// sibling (see shadowedBySibling). Exported for the transition-graph
-// export, which replays the engines' expansion policy.
-func SymmetryShadowed(c *fsm.Config, i int) bool { return shadowedBySibling(c, i) }
+// specErrors records a worker's spec errors that occurred before its
+// successor with ordinal ord was generated.
+func (b *bfs) specErrors(errs []ordErr, ord int) {
+	k := 0
+	for k < len(errs) && errs[k].ord < ord {
+		b.res.SpecErrors = append(b.res.SpecErrors, errs[k].err)
+		k++
+	}
+	if k > 0 {
+		b.orun.Event("spec_errors_total", int64(k))
+	}
+}
 
-// shadowedBySibling reports whether a lower-indexed cache is in the same
-// (state, data) class as cache i; under counting equivalence expanding both
-// produces permutation-equivalent successors, so only the first
-// representative of each class is expanded.
-func shadowedBySibling(c *fsm.Config, i int) bool {
+// SymmetryShadowed reports whether the engine's counting-mode expansion
+// would skip cache i of c: a lower-indexed cache is in the same (state,
+// data) class, so expanding both would produce permutation-equivalent
+// successors and only the first representative of each class is
+// expanded. Exported for the transition-graph export, which replays the
+// engine's expansion policy.
+func SymmetryShadowed(c *fsm.Config, i int) bool {
 	for j := 0; j < i; j++ {
 		if c.States[j] == c.States[i] && c.Versions[j] == c.Versions[i] {
 			return true
@@ -601,7 +617,7 @@ func shadowedBySibling(c *fsm.Config, i int) bool {
 // their ranks with one pass over the store (plus the spill files of an
 // out-of-core run) — violations are rare, so the scan is off the hot
 // path.
-func (b *bfs) witness(k Key, r uint32) []PathStep {
+func (b *bfs) witness(k []byte, r uint32) []PathStep {
 	var chain []uint32 // ranks from the violation up, excluding rank 0
 	for cur := r; b.parents[cur].parent != noParent; cur = b.parents[cur].parent {
 		chain = append(chain, cur)
@@ -609,7 +625,7 @@ func (b *bfs) witness(k Key, r uint32) []PathStep {
 			break
 		}
 	}
-	keys := map[uint32]Key{r: k}
+	keys := map[uint32][]byte{r: k}
 	if len(chain) > 1 {
 		wanted := make(map[uint32]bool, len(chain))
 		for _, cr := range chain {
@@ -617,12 +633,12 @@ func (b *bfs) witness(k Key, r uint32) []PathStep {
 				wanted[cr] = true
 			}
 		}
-		collect := func(kk Key, rr uint32) {
+		collect := func(kk []byte, rr uint32) {
 			if wanted[rr] {
-				keys[rr] = kk
+				keys[rr] = append([]byte(nil), kk...)
 			}
 		}
-		b.visited.forEach(collect)
+		b.visited.ForEach(collect)
 		if b.spill != nil {
 			if err := b.forEachSpilled(b.spill.visitedFiles, collect); err != nil {
 				b.res.SpecErrors = append(b.res.SpecErrors, fmt.Errorf("enum: resolving witness path: %w", err))

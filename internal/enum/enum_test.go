@@ -281,13 +281,13 @@ func TestSymmetricExpansionShadowing(t *testing.T) {
 	c := fsm.NewConfig(p, 3)
 	c.States = []fsm.State{"Shared", "Shared", "Invalid"}
 	c.Versions = []int64{0, 0, fsm.NoData}
-	if shadowedBySibling(c, 0) {
+	if SymmetryShadowed(c, 0) {
 		t.Error("first representative must not be shadowed")
 	}
-	if !shadowedBySibling(c, 1) {
+	if !SymmetryShadowed(c, 1) {
 		t.Error("second cache of the same class must be shadowed")
 	}
-	if shadowedBySibling(c, 2) {
+	if SymmetryShadowed(c, 2) {
 		t.Error("a different class must not be shadowed")
 	}
 }

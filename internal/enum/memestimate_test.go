@@ -6,23 +6,24 @@ import (
 
 	"repro/internal/fsm"
 	"repro/internal/protocols"
+	"repro/internal/stateset"
 )
 
 // TestStateBytesEstimate pins the estBytes memory model against measured
 // heap growth. The estimate drives the MaxBytes budget (and the spill
 // threshold of out-of-core runs), so it must track what one admitted
-// state actually costs under the compact store: its packed key in the
-// visited and tuple sets, its provenance record, and a frontier
-// configuration. The test builds exactly the structures estBytes sums —
-// for a large population of distinct configurations — and requires the
+// state actually costs: its key in the visited set, its tuple in the
+// tuple set, its provenance record, and its representative and rank in
+// the frontier slab. The test builds exactly the structures estBytes sums
+// — for a large population of distinct states — and requires the
 // estimate to stay within a factor of two of the allocator's per-state
 // cost in either direction.
 func TestStateBytesEstimate(t *testing.T) {
 	p := protocols.Illinois()
 	const n = 7
-	kc := newKeyCodec(p, n, ModeStrict)
-	if !kc.packed {
-		t.Fatal("illinois n=7 must use the packed codec")
+	kc, err := newKeyCodec(p, n, ModeStrict)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// Every base-|Q| digit string of length n is a distinct state tuple, so
@@ -40,30 +41,38 @@ func TestStateBytesEstimate(t *testing.T) {
 		}
 		return c
 	}
-
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-
-	visited, tuples := newStores(kc, n)
-	parents := make([]parentRec, 0, m)
-	frontier := make([]*fsm.Config, 0, m)
-	for i := 0; i < m; i++ {
-		c := mk(i)
-		r := visited.insert(kc.key(c))
-		parents = append(parents, parentRec{parent: r, cache: uint16(i % n), op: 0})
-		if tk := kc.tupleKey(c); !tuples.has(tk) {
-			tuples.insert(tk)
-		}
-		frontier = append(frontier, c)
+	reps := make([][]byte, m)
+	for i := range reps {
+		reps[i] = kc.encode(mk(i), nil)
 	}
 
-	runtime.GC()
+	// The doubled GC drains sync.Pool victim caches left by earlier tests,
+	// which otherwise release memory mid-measurement; the delta is signed
+	// for the same reason.
+	gc2 := func() { runtime.GC(); runtime.GC() }
+	var before, after runtime.MemStats
+	gc2()
+	runtime.ReadMemStats(&before)
+
+	visited, tuples := stateset.New(kc.w), stateset.New(kc.w-1)
+	parents := make([]parentRec, 0, m)
+	var f frontier
+	var tuple []byte
+	for i, rep := range reps {
+		r := visited.Insert(rep)
+		parents = append(parents, parentRec{parent: r, cache: uint16(i % n), op: 0})
+		if tuple = kc.tupleOf(rep, tuple); !tuples.Has(tuple) {
+			tuples.Insert(tuple)
+		}
+		f.push(rep, r)
+	}
+
+	gc2()
 	runtime.ReadMemStats(&after)
-	measured := float64(after.HeapAlloc-before.HeapAlloc) / float64(m)
-	est := float64(visited.bytes()+tuples.bytes()+
+	measured := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(m)
+	est := float64(visited.Bytes()+tuples.Bytes()+
 		int64(cap(parents))*parentRecBytes+
-		int64(len(frontier))*cfgBytes(n)) / float64(m)
+		int64(f.len())*frontierBytes(kc.w)) / float64(m)
 	if measured < est/2 || measured > est*2 {
 		t.Fatalf("estBytes model says %.1f B/state but measured %.1f B/state over %d states; estimate off by more than 2x",
 			est, measured, m)
@@ -72,7 +81,8 @@ func TestStateBytesEstimate(t *testing.T) {
 	runtime.KeepAlive(visited)
 	runtime.KeepAlive(parents)
 	runtime.KeepAlive(tuples)
-	runtime.KeepAlive(frontier)
+	runtime.KeepAlive(&f)
+	runtime.KeepAlive(reps)
 }
 
 // TestCompactVisitedSetFootprint pins the headline of the compact store:
@@ -85,20 +95,29 @@ func TestStateBytesEstimate(t *testing.T) {
 func TestCompactVisitedSetFootprint(t *testing.T) {
 	p := protocols.Illinois()
 	const n = 7
-	kc := newKeyCodec(p, n, ModeStrict)
+	kc, err := newKeyCodec(p, n, ModeStrict)
+	if err != nil {
+		t.Fatal(err)
+	}
 	q := len(p.States)
 	m := 1
 	for i := 0; i < n; i++ {
 		m *= q
 	}
-	keys := make([]Key, 0, m)
-	mk := func(i int) Key {
+	// legacyKey is the seed's 80-byte map key: a fixed packed array plus a
+	// string for keys too wide to pack.
+	type legacyKey struct {
+		packed [64]byte
+		str    string
+	}
+	keys := make([][]byte, 0, m)
+	mk := func(i int) []byte {
 		c := fsm.NewConfig(p, n)
 		for j := 0; j < n; j++ {
 			c.States[j] = p.States[i%q]
 			i /= q
 		}
-		return kc.key(c)
+		return kc.encode(c, nil)
 	}
 	for i := 0; i < m; i++ {
 		keys = append(keys, mk(i))
@@ -112,18 +131,20 @@ func TestCompactVisitedSetFootprint(t *testing.T) {
 	var m0, m1, m2 runtime.MemStats
 	gc2()
 	runtime.ReadMemStats(&m0)
-	legacyVis := make(map[Key]bool)
-	legacyPar := make(map[Key]parentRec)
+	legacyVis := make(map[legacyKey]bool)
+	legacyPar := make(map[legacyKey]parentRec)
 	for _, k := range keys {
-		legacyVis[k] = true
-		legacyPar[k] = parentRec{}
+		var lk legacyKey
+		copy(lk.packed[:], k)
+		legacyVis[lk] = true
+		legacyPar[lk] = parentRec{}
 	}
 	gc2()
 	runtime.ReadMemStats(&m1)
-	cs := newCompactStore(n)
+	cs := stateset.New(kc.w)
 	compactPar := make([]parentRec, 0, m)
 	for _, k := range keys {
-		compactPar = append(compactPar, parentRec{parent: cs.insert(k)})
+		compactPar = append(compactPar, parentRec{parent: cs.Insert(k)})
 	}
 	gc2()
 	runtime.ReadMemStats(&m2)

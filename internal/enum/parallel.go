@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/fsm"
+	"repro/internal/stateset"
 )
 
 // ExhaustiveParallel is Exhaustive with RunConfig.Workers set to
@@ -45,151 +46,148 @@ func (e *WorkerError) Error() string {
 	return fmt.Sprintf("enum: worker %d panicked at level %d: %s", e.Worker, e.Level, e.Value)
 }
 
-// succItem is one generated successor, tagged with the acting cache and
-// operation for its provenance record. Its equivalence and tuple keys are
-// computed at generation time so admission only performs set operations.
-// A successor expandOne already found in the visited set is a visit-only
-// item: cfg is nil and nothing else is set, because all admission does
-// with it is count the visit.
-type succItem struct {
-	cfg   *fsm.Config
-	key   Key
-	tuple Key
-	cache int
-	op    fsm.Op
+// ordErr is a spec error tagged with the number of successors its worker
+// had generated in the level when it occurred, so a mid-level stop keeps
+// exactly the errors the sequential algorithm would have met.
+type ordErr struct {
+	ord int
+	err error
 }
 
-// workerOut is a reusable successor buffer, pooled across levels and
-// runs so steady-state expansion does not re-grow it.
-type workerOut struct {
-	items    []succItem
-	specErrs []error
-	// base and work are the compiled-configuration scratch of expandOne:
-	// the expanded state encoded once, and the per-successor working copy.
-	// They live here so pooled level workers reuse them across expansions
-	// without allocating.
-	base, work compile.Config
-}
-
-var workerOutPool = sync.Pool{New: func() any { return new(workerOut) }}
-
-func getWorkerOut() *workerOut { return workerOutPool.Get().(*workerOut) }
-
-func putWorkerOut(out *workerOut) {
-	out.items = out.items[:0]
-	out.specErrs = out.specErrs[:0]
-	workerOutPool.Put(out)
-}
-
-// frontierPool recycles level slices: each BFS level retires its
-// frontier slice and the pool hands it to a later level's next buffer.
-var frontierPool = sync.Pool{New: func() any { return new([]node) }}
-
-func getFrontierSlice() []node {
-	return (*frontierPool.Get().(*[]node))[:0]
-}
-
-func putFrontierSlice(s []node) {
-	frontierPool.Put(&s)
-}
-
-// useInterpretedExpand, when set by tests, routes expandOne through the
-// interpreted fsm.Step reference path instead of the compiled tables. The
-// compile-parity suite flips it to assert the two paths produce
-// byte-identical results over every spec and every mutant. Never set
-// outside tests; it is read without synchronization.
-var useInterpretedExpand = false
-
-// expandOne generates the successors of one frontier configuration into
-// out; level workers call it for every state they expand. The hot path is
-// integers only: the expanded configuration is encoded to compiled form
-// once, each successor is generated by a table-driven compiled step and
-// keyed straight from its compiled form, and a successor that seen
-// already holds becomes a visit-only item without ever being decoded.
-// Only the others are materialized back to canonical fsm.Config form, for
-// the invariant check, witnesses and KeepReachable; they may still
-// duplicate seen (runs too large to pack skip the early check) or each
-// other, so the workers and the reconcile deduplicate them. Workers pass
-// their levelSeen: the committed visited set, read-only during a level,
-// over their own level-local set.
-func expandOne(kc *keyCodec, symmetric bool, seen visitedStore, cur *fsm.Config, out *workerOut) {
-	if useInterpretedExpand {
-		expandOneInterpreted(kc, symmetric, cur, out)
-		return
+// expandOne generates the successors of the representative parent,
+// admitted at rank, into lw; level workers call it for every state they
+// expand. One pass over the parent per (cache, operation) writes each
+// successor (see successor), keyed in place. A successor already in the
+// committed visited set (read-only during a level, so the read is
+// lock-free) or generated earlier by this worker is only counted; the
+// others become candidates, in generation order. Under counting
+// equivalence only the first cache of each cell value is expanded, since
+// its siblings yield permutations of its successors.
+func expandOne[T cellInt](kc *keyCodec, visited *stateset.Set, parent []byte, rank uint32, lw *levelWork) {
+	counting := kc.mode == ModeCounting
+	for j := 0; j < kc.n; j++ {
+		lw.counts[getCell[T](parent, j)>>2]++
 	}
-	p, n, cp := kc.p, kc.n, kc.cp
-	if err := cp.Encode(cur, &out.base); err != nil {
-		out.specErrs = append(out.specErrs, err)
-		return
-	}
-	for i := 0; i < n; i++ {
-		if symmetric && shadowedBySibling(cur, i) {
-			continue
-		}
-		st := int(out.base.States[i])
-		for k := range p.Ops {
-			if !cp.HasRules(st, k) {
+	next, key := lw.next, lw.next
+	for i := 0; i < kc.n; i++ {
+		if counting {
+			x := getCell[T](parent, i)
+			if lw.shadow[x] {
 				continue
 			}
-			out.work.CopyFrom(&out.base)
-			if _, err := cp.Step(&out.work, i, k); err != nil {
-				out.specErrs = append(out.specErrs, err)
+			lw.shadow[x] = true
+		}
+		for k := 0; k < kc.cp.NumOps; k++ {
+			fired, err := successor[T](kc, parent, next, lw.counts, i, k)
+			if err != nil {
+				lw.errs = append(lw.errs, ordErr{lw.gen, err})
+			}
+			if !fired {
 				continue
 			}
-			var key Key
-			if kc.packed {
-				if kc.compiledKey(&key, &out.work); seen.has(key) {
-					out.items = append(out.items, succItem{})
-					continue
-				}
+			lw.gen++
+			if counting {
+				key = append(lw.key[:0], next...)
+				sortCells[T](key, kc.n)
 			}
-			cfg := cfgPool.Get().(*fsm.Config)
-			cp.Decode(&out.work, cfg)
-			Canonicalize(cfg)
-			out.items = append(out.items, succItem{cfg: cfg, key: key, cache: i, op: p.Ops[k]})
-			if it := &out.items[len(out.items)-1]; kc.packed {
-				kc.compiledTupleKey(&it.tuple, &out.work)
-			} else {
-				it.key, it.tuple = kc.key(cfg), kc.tupleKey(cfg)
+			if visited.Has(key) || lw.local.Has(key) {
+				continue
 			}
+			lw.local.Insert(key)
+			lw.cands = append(lw.cands, candidate{parent: rank, cache: i, op: k, ord: lw.gen})
+			lw.reps = append(lw.reps, next...)
+			lw.keys = append(lw.keys, key...)
 		}
+	}
+	for j := 0; j < kc.n; j++ {
+		x := getCell[T](parent, j)
+		lw.counts[x>>2], lw.shadow[x] = 0, false
 	}
 }
 
-// expandOneInterpreted is the interpreted reference expansion — the exact
-// pre-compilation code path, stepping fsm.Config through fsm.Step. It is
-// retained solely as the parity oracle for the compiled path above.
-func expandOneInterpreted(kc *keyCodec, symmetric bool, cur *fsm.Config, out *workerOut) {
-	p, n := kc.p, kc.n
-	for i := 0; i < n; i++ {
-		if symmetric && shadowedBySibling(cur, i) {
-			continue
-		}
-		for _, op := range p.Ops {
-			if len(p.RulesFor(cur.States[i], op)) == 0 {
-				continue
-			}
-			next := cloneConfig(cur)
-			if _, err := fsm.Step(p, next, i, op); err != nil {
-				out.specErrs = append(out.specErrs, err)
-				releaseConfig(next)
-				continue
-			}
-			Canonicalize(next)
-			out.items = append(out.items, succItem{
-				cfg: next, key: kc.key(next), tuple: kc.tupleKey(next),
-				cache: i, op: op,
-			})
+// successor writes into next the representative that results when cache
+// i applies operation k in parent, and reports whether a rule fired
+// (false: the operation is a no-op in the cache's state). counts holds
+// the parent's state occupancy. It computes Canonicalize ∘ fsm.Step on
+// cells: the first rule whose guard holds over the other caches fires;
+// a cache source is the lowest-index other cache in the first supplier
+// state present; the other caches move through the rule's cell map, and
+// the originator and the memory through its class table. A spec error
+// carries fsm.Step's text.
+func successor[T cellInt](kc *keyCodec, parent, next []byte, counts []int32, i, k int) (bool, error) {
+	cp := kc.cp
+	pc := getCell[T](parent, i)
+	si := int32(pc >> 2)
+	ids := cp.RuleIDs(int(si), k)
+	if len(ids) == 0 {
+		return false, nil
+	}
+	var r *compile.Rule
+	for _, id := range ids {
+		c := &cp.Rules[id]
+		if c.GuardKind == fsm.GuardAlways ||
+			c.GuardKind == fsm.GuardAnyOther && othersIn(c.GuardStates, counts, si) ||
+			c.GuardKind == fsm.GuardNoOther && !othersIn(c.GuardStates, counts, si) {
+			r = c
+			break
 		}
 	}
+	if r == nil {
+		return false, fmt.Errorf("fsm: protocol %s: no guard matched for cache %d in state %s on %s of %s",
+			cp.Src.Name, i, cp.States[si], cp.Ops[k], kc.decode(parent))
+	}
+	var sc T
+	if r.Source == fsm.SrcCache {
+		sup := -1
+		for _, ss := range r.Suppliers {
+			if c := counts[ss]; c == 0 || c == 1 && ss == si {
+				continue
+			}
+			for sup = 0; sup == i || int32(getCell[T](parent, sup)>>2) != ss; sup++ {
+			}
+			break
+		}
+		if sup < 0 {
+			src := cp.Src.Rules[r.ID]
+			return false, fmt.Errorf("fsm: protocol %s: rule %s fired with no supplier in %v for %s",
+				cp.Src.Name, src.Name, src.Data.Suppliers, kc.decode(parent))
+		}
+		sc = getCell[T](parent, sup) & 3
+	}
+	obs := kc.obs[int(r.ID)*kc.nc:][:kc.nc]
+	for j := 0; j < kc.n; j++ {
+		putCell(next, j, T(obs[getCell[T](parent, j)]))
+	}
+	d := kc.data[int(r.ID)*27+int(pc&3)*9+int(parent[kc.w-1])*3+int(sc)]
+	putCell(next, i, T(r.Next)<<2|T(d&3))
+	next[kc.w-1] = d >> 2
+	return true, nil
+}
+
+// othersIn reports whether a cache other than the originator, which is
+// in state si, is in one of states.
+func othersIn(states, counts []int32, si int32) bool {
+	for _, s := range states {
+		c := counts[s]
+		if s == si {
+			c--
+		}
+		if c > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // candidate is a successor a level worker found new: in neither the
-// committed visited set nor the worker's level-local set.
+// committed visited set nor the worker's level-local set. Its
+// representative and key are the matching entries of the worker's reps
+// and keys slabs.
 type candidate struct {
-	succItem
-	// parent is the admission rank of the expanded state.
-	parent uint32
+	// parent is the admission rank of the expanded state; cache and op
+	// the acting cache and operation index.
+	parent    uint32
+	cache, op int
 	// viol holds the invariant violations, checked inside the worker.
 	viol []fsm.Violation
 	// ord is the successor's 1-based position among all successors the
@@ -206,20 +204,45 @@ type candidate struct {
 type levelWork struct {
 	lo, hi int
 	cands  []candidate
-	gen    int // successors generated: the worker's share of Visits
-	errs   []error
-	panic  *WorkerError
-	// seen is the worker's membership view: its level-local set over
-	// the committed visited set.
-	seen *levelSeen
+	// reps and keys hold the candidates' representatives and keys.
+	reps, keys []byte
+	gen        int // successors generated: the worker's share of Visits
+	errs       []ordErr
+	panic      *WorkerError
+	// local holds the keys of the candidates.
+	local *stateset.Set
+	// counts[s] is the number of caches in state s in the state being
+	// expanded, shadow[x] marks the cell values expanded already under
+	// counting equivalence; expandOne zeroes both again before it
+	// returns. next and key hold the successor being built.
+	counts    []int32
+	shadow    []bool
+	next, key []byte
+}
+
+func newLevelWork(kc *keyCodec) levelWork {
+	return levelWork{
+		local:  stateset.New(kc.w),
+		counts: make([]int32, kc.cp.NumStates),
+		shadow: make([]bool, kc.nc),
+		next:   make([]byte, kc.w),
+		key:    make([]byte, kc.w),
+	}
 }
 
 // reset readies lw to expand frontier[lo:hi].
 func (lw *levelWork) reset(lo, hi int) {
 	lw.lo, lw.hi = lo, hi
-	lw.cands, lw.gen, lw.errs, lw.panic = lw.cands[:0], 0, nil, nil
-	lw.seen.reset()
+	lw.cands, lw.reps, lw.keys = lw.cands[:0], lw.reps[:0], lw.keys[:0]
+	lw.gen, lw.errs, lw.panic = 0, lw.errs[:0], nil
+	lw.local.Reset()
+	// A panic can leave expandOne's scratch dirty.
+	clear(lw.counts)
+	clear(lw.shadow)
 }
+
+// entry returns the i-th w-byte entry of a slab.
+func entry(slab []byte, i, w int) []byte { return slab[i*w : (i+1)*w] }
 
 // defaultMinWorkerStates is the least number of frontier states worth a
 // worker of its own. Expanding a state costs a few microseconds, so
@@ -241,11 +264,12 @@ var testWorkerHook func(level, worker int)
 // worker 0 runs on the calling goroutine and the others on their own.
 // Each worker is isolated: a panic is recorded as a WorkerError and the
 // slice expanded again on the calling goroutine.
-func (b *bfs) expandLevel(level int, frontier []node, workers int) []levelWork {
-	nw := max(1, min(workers, len(frontier)/minWorkerStates))
-	chunk := (len(frontier) + nw - 1) / nw
+func (b *bfs) expandLevel(level int, f *frontier, workers int) []levelWork {
+	size := f.len()
+	nw := max(1, min(workers, size/minWorkerStates))
+	chunk := (size + nw - 1) / nw
 	for len(b.work) < nw {
-		b.work = append(b.work, levelWork{seen: &levelSeen{visitedStore: newStore(b.kc, b.n), committed: b.visited}})
+		b.work = append(b.work, newLevelWork(b.kc))
 	}
 	work := b.work[:nw]
 	attempt := func(w int) {
@@ -262,12 +286,12 @@ func (b *bfs) expandLevel(level int, frontier []node, workers int) []levelWork {
 		if testWorkerHook != nil {
 			testWorkerHook(level, w)
 		}
-		b.expandSlice(frontier[lw.lo:lw.hi], lw)
+		b.expandSlice(f, lw)
 	}
 	var wg sync.WaitGroup
 	for w := range work {
-		lo := min(w*chunk, len(frontier))
-		work[w].reset(lo, min(lo+chunk, len(frontier)))
+		lo := min(w*chunk, size)
+		work[w].reset(lo, min(lo+chunk, size))
 		if w > 0 {
 			wg.Add(1)
 			go func() {
@@ -295,52 +319,26 @@ func (b *bfs) expandLevel(level int, frontier []node, workers int) []levelWork {
 				}
 			}()
 			lw.reset(lw.lo, lw.hi)
-			b.expandSlice(frontier[lw.lo:lw.hi], lw)
+			b.expandSlice(f, lw)
 		}()
 	}
 	return work
 }
 
-// expandSlice is the body of one level worker. It expands its frontier
-// slice through expandOne and drops every successor already in the
-// committed visited set (read-only during the level, so the read is
-// lock-free) or generated earlier by this worker; the survivors become
-// candidates, in generation order, with their invariant violations
-// checked here rather than on the reconcile thread.
-func (b *bfs) expandSlice(slice []node, lw *levelWork) {
-	out := getWorkerOut()
-	defer putWorkerOut(out)
-	for _, nd := range slice {
-		out.items = out.items[:0]
-		expandOne(b.kc, b.symmetric, lw.seen, nd.cfg, out)
-		for i := range out.items {
-			it := &out.items[i]
-			lw.gen++
-			if it.cfg == nil || lw.seen.has(it.key) {
-				releaseConfig(it.cfg)
-				continue
-			}
-			lw.seen.insert(it.key)
-			lw.cands = append(lw.cands, candidate{
-				succItem: *it,
-				parent:   nd.rank,
-				viol:     fsm.CheckConfig(b.p, it.cfg, b.opts.Strict),
-				ord:      lw.gen,
-			})
+// expandSlice is the body of one level worker: it expands its frontier
+// slice through expandOne and checks the invariants of the candidates
+// here rather than on the reconcile thread. The flag table passes almost
+// every state; only the others are decoded for fsm.CheckConfig's
+// violation text.
+func (b *bfs) expandSlice(f *frontier, lw *levelWork) {
+	kc, w := b.kc, b.kc.w
+	first := len(lw.cands)
+	for r := lw.lo; r < lw.hi; r++ {
+		kc.expand(kc, b.visited, entry(f.reps, r, w), f.ranks[r], lw)
+	}
+	for i := first; i < len(lw.cands); i++ {
+		if rep := entry(lw.reps, i, w); !kc.clean(rep, b.opts.Strict) {
+			lw.cands[i].viol = fsm.CheckConfig(b.p, kc.decode(rep), b.opts.Strict)
 		}
 	}
-	lw.errs = out.specErrs
-	out.specErrs = nil // retained by the reconcile; don't recycle the backing array
 }
-
-// levelSeen is the membership a level worker checks successors against:
-// its level-local set (the embedded store, which takes the inserts) or
-// the committed visited set. Passing it to expandOne lets a successor
-// generated earlier in the level stay a visit-only item, exactly as it
-// would against a visited set that admitted it already.
-type levelSeen struct {
-	visitedStore
-	committed visitedStore
-}
-
-func (s *levelSeen) has(k Key) bool { return s.committed.has(k) || s.visitedStore.has(k) }

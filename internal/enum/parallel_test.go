@@ -1,8 +1,10 @@
 package enum
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/fsm"
 	"repro/internal/protocols"
 )
 
@@ -122,5 +124,76 @@ func TestParallelArgumentChecks(t *testing.T) {
 	}
 	if _, err := ExhaustiveParallel(protocols.Illinois(), 2, Options{}, -1); err != nil {
 		t.Errorf("workers=-1 must default, got %v", err)
+	}
+}
+
+// specGapIllinois is brokenIllinois with two spec errors added: a guard
+// gap (no read-miss rule fires when another cache is Dirty and none is
+// Shared or Valid-Exclusive) and a missing supplier (a write miss served
+// by caches names only Shared, so a lone Valid-Exclusive copy supplies
+// nothing).
+func specGapIllinois() *fsm.Protocol {
+	p := brokenIllinois()
+	rules := p.Rules[:0]
+	for _, r := range p.Rules {
+		switch r.Name {
+		case "read-miss-dirty-owner":
+			continue
+		case "write-miss-from-cache":
+			r.Data.Suppliers = []fsm.State{protocols.IllShared}
+		}
+		rules = append(rules, r)
+	}
+	p.Rules = rules
+	return p.Clone()
+}
+
+// TestSpecErrorsAtStopMatchAcrossWorkers stops runs of a protocol with
+// spec errors and violations mid-level, on the first violation and on the
+// state cap, and requires the same SpecErrors and Visits at 1 and 3
+// workers: exactly the errors met before the stopping successor, a prefix
+// of the uninterrupted run's.
+func TestSpecErrorsAtStopMatchAcrossWorkers(t *testing.T) {
+	forceSplit(t)
+	p := specGapIllinois()
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	const n = 4
+	full, err := Exhaustive(p, n, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.SpecErrors) == 0 || len(full.Violations) == 0 {
+		t.Fatalf("want spec errors and violations, got %d and %d", len(full.SpecErrors), len(full.Violations))
+	}
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{{"stop-on-violation", Options{StopOnViolation: true}}, {"state-cap", Options{MaxStates: full.Unique / 2}}} {
+		opts := tc.opts
+		var ref *Result
+		for _, workers := range []int{1, 3} {
+			res, err := ExhaustiveParallel(p, n, opts, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Truncated && len(res.Violations) == len(full.Violations) {
+				t.Fatalf("%s: the run did not stop early", tc.name)
+			}
+			for i, e := range res.SpecErrors {
+				if i >= len(full.SpecErrors) || e.Error() != full.SpecErrors[i].Error() {
+					t.Fatalf("%s workers=%d: spec error %d %q is not the uninterrupted run's", tc.name, workers, i, e)
+				}
+			}
+			if ref == nil {
+				ref = res
+				continue
+			}
+			if got, want := fmt.Sprint(res.SpecErrors), fmt.Sprint(ref.SpecErrors); got != want || res.Visits != ref.Visits {
+				t.Fatalf("%s: workers=3 reports %d spec errors and %d visits, workers=1 %d and %d",
+					tc.name, len(res.SpecErrors), res.Visits, len(ref.SpecErrors), ref.Visits)
+			}
+		}
 	}
 }

@@ -92,10 +92,12 @@ func TestBudgetDeadlineStop(t *testing.T) {
 	}
 }
 
+// TestMemBudgetStop gives Illinois n=5, whose estimated footprint peaks
+// near 3 KiB, a 2 KiB budget: the run must stop on it before the end.
 func TestMemBudgetStop(t *testing.T) {
 	p := protocols.Illinois()
 	res, err := Exhaustive(p, 5, Options{
-		RunConfig: runctl.RunConfig{Budget: runctl.Budget{MaxBytes: 4096}},
+		RunConfig: runctl.RunConfig{Budget: runctl.Budget{MaxBytes: 2048}},
 	})
 	if err != nil {
 		t.Fatal(err)

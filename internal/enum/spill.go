@@ -21,9 +21,8 @@ import (
 // already batches dedup at level boundaries, which is what makes one
 // sequential pass per spill file affordable; the frontier carries its
 // states' admission ranks, so provenance never has to look up a parent
-// that was spilled. Spilling requires the packed key codec (the compact
-// store); runs the codec cannot pack fall back to in-memory maps and the
-// plain memory budget.
+// that was spilled. Every run keys its states with the packed bytes of
+// key.go, so every run can spill.
 
 // spillState tracks one run's spill files.
 type spillState struct {
@@ -44,9 +43,6 @@ type spillState struct {
 // misconfiguration fails the run at level 0, not mid-exploration.
 func (b *bfs) initSpill() error {
 	if b.opts.SpillDir == "" || b.opts.Budget.MaxBytes <= 0 {
-		return nil
-	}
-	if _, ok := b.visited.(*compactStore); !ok {
 		return nil
 	}
 	if err := os.MkdirAll(b.opts.SpillDir, 0o755); err != nil {
@@ -84,24 +80,24 @@ func (b *bfs) initSpill() error {
 // continuing with silently wrong dedup).
 func (b *bfs) maybeSpill() error {
 	sp := b.spill
-	if sp == nil || b.estBytes() <= sp.threshold || b.visited.resident() == 0 {
+	if sp == nil || b.estBytes() <= sp.threshold || b.visited.Resident() == 0 {
 		return nil
 	}
-	freed := b.visited.bytes() + b.tuples.bytes()
-	if vb := b.visited.spill(); vb != nil {
+	freed := b.visited.Bytes() + b.tuples.Bytes()
+	if vb := b.visited.Spill(); vb != nil {
 		path := filepath.Join(sp.dir, fmt.Sprintf("spill-visited-%04d.bin", sp.seq))
 		if err := (&ckptio.Store{Path: path, Keep: 1}).Save(vb); err != nil {
-			if rerr := b.visited.restore(vb); rerr != nil {
+			if rerr := b.visited.Restore(vb); rerr != nil {
 				return fmt.Errorf("enum: spill write failed (%v) and rollback failed: %w", err, rerr)
 			}
 			return fmt.Errorf("enum: writing spill file: %w", err)
 		}
 		sp.visitedFiles = append(sp.visitedFiles, path)
 	}
-	if tb := b.tuples.spill(); tb != nil {
+	if tb := b.tuples.Spill(); tb != nil {
 		path := filepath.Join(sp.dir, fmt.Sprintf("spill-tuples-%04d.bin", sp.seq))
 		if err := (&ckptio.Store{Path: path, Keep: 1}).Save(tb); err != nil {
-			if rerr := b.tuples.restore(tb); rerr != nil {
+			if rerr := b.tuples.Restore(tb); rerr != nil {
 				return fmt.Errorf("enum: tuple spill write failed (%v) and rollback failed: %w", err, rerr)
 			}
 			return fmt.Errorf("enum: writing tuple spill file: %w", err)
@@ -109,7 +105,7 @@ func (b *bfs) maybeSpill() error {
 		sp.tupleFiles = append(sp.tupleFiles, path)
 	}
 	sp.seq++
-	freed -= b.visited.bytes() + b.tuples.bytes()
+	freed -= b.visited.Bytes() + b.tuples.Bytes()
 	b.orun.Event("spill_files_total", 1)
 	b.orun.Event("spilled_bytes_total", freed)
 	return nil
@@ -139,7 +135,7 @@ func (b *bfs) spillFilter(work []levelWork) error {
 	if sp == nil {
 		return nil
 	}
-	mark := func(files []string, f func(br *stateset.BlobReader, c *candidate)) error {
+	mark := func(files []string, f func(br *stateset.BlobReader, lw *levelWork, i int)) error {
 		for _, path := range files {
 			br, err := loadSpillBlob(path)
 			if err != nil {
@@ -147,32 +143,36 @@ func (b *bfs) spillFilter(work []levelWork) error {
 			}
 			for w := range work {
 				for i := range work[w].cands {
-					f(br, &work[w].cands[i])
+					f(br, &work[w], i)
 				}
 			}
 		}
 		return nil
 	}
-	if err := mark(sp.visitedFiles, func(br *stateset.BlobReader, c *candidate) {
-		c.spilled = c.spilled || br.Has(keyBytes(&c.key, b.n))
+	w := b.kc.w
+	if err := mark(sp.visitedFiles, func(br *stateset.BlobReader, lw *levelWork, i int) {
+		c := &lw.cands[i]
+		c.spilled = c.spilled || br.Has(entry(lw.keys, i, w))
 	}); err != nil {
 		return err
 	}
-	return mark(sp.tupleFiles, func(br *stateset.BlobReader, c *candidate) {
-		c.tupleDup = c.tupleDup || br.Has(keyBytes(&c.tuple, b.n))
+	return mark(sp.tupleFiles, func(br *stateset.BlobReader, lw *levelWork, i int) {
+		c := &lw.cands[i]
+		b.tuple = b.kc.tupleOf(entry(lw.reps, i, w), b.tuple)
+		c.tupleDup = c.tupleDup || br.Has(b.tuple)
 	})
 }
 
 // forEachSpilled streams every entry of the given spill files through f
 // with its admission rank, loading one file at a time. Checkpoint
 // snapshots and witness reconstruction use it to cover spilled states.
-func (b *bfs) forEachSpilled(files []string, f func(k Key, rank uint32)) error {
+func (b *bfs) forEachSpilled(files []string, f func(k []byte, rank uint32)) error {
 	for _, path := range files {
 		br, err := loadSpillBlob(path)
 		if err != nil {
 			return err
 		}
-		br.ForEach(func(kb []byte, r uint32) { f(unpackKeyBytes(kb), r) })
+		br.ForEach(f)
 	}
 	return nil
 }

@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/protocols"
-	"repro/internal/randproto"
 	"repro/internal/runctl"
 )
 
@@ -32,47 +30,6 @@ func resultSignature(r *Result) string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-// TestCompactStoreMatchesLegacyStore is the correctness property of the
-// packed keys and the compact visited set: over random well-formed
-// protocols, an enumeration keyed by packed bytes and backed by the
-// hash-indexed stateset must admit exactly the same state partition —
-// same unique states, visit counts, tuple census, violations and witness
-// paths — as the legacy canonical strings in the map-backed store. The
-// legacy path is forced via testForceStringKeys, which newKeyCodec
-// consults (and newStores follows), so both runs execute the identical
-// engine code around the key and store boundary.
-func TestCompactStoreMatchesLegacyStore(t *testing.T) {
-	defer func() { testForceStringKeys = false }()
-	for seed := int64(0); seed < 15; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		p := randproto.New(rng, 1+rng.Intn(4))
-		n := 2 + rng.Intn(3)
-		for _, mode := range []string{ModeStrict, ModeCounting} {
-			run := func(forceLegacy bool) *Result {
-				testForceStringKeys = forceLegacy
-				defer func() { testForceStringKeys = false }()
-				var r *Result
-				var err error
-				if mode == ModeCounting {
-					r, err = Counting(p, n, Options{Strict: true})
-				} else {
-					r, err = Exhaustive(p, n, Options{Strict: true})
-				}
-				if err != nil {
-					t.Fatalf("seed %d mode %s legacy=%t: %v", seed, mode, forceLegacy, err)
-				}
-				return r
-			}
-			compact := run(false)
-			legacy := run(true)
-			if got, want := resultSignature(compact), resultSignature(legacy); got != want {
-				t.Fatalf("seed %d mode %s: compact store diverges from legacy map store\ncompact: %s\nlegacy:  %s",
-					seed, mode, got, want)
-			}
-		}
-	}
 }
 
 // spillFileCount counts the spill files currently in dir.

@@ -4,44 +4,13 @@ import (
 	"fmt"
 
 	"repro/internal/fsm"
-	"repro/internal/stateset"
 )
 
-// visitedStore is the dedup + rank layer under the shared bfs state: an
-// insert-only set of Keys where each key's rank is its admission order
-// (the initial state is rank 0). Ranks are what provenance records and
-// checkpoints reference, so states can be identified by a 4-byte index
-// instead of a full Key.
-//
-// Reads (has/rank) are safe concurrently between mutations — the level
-// workers dedup lock-free against the committed set during a level.
-type visitedStore interface {
-	has(k Key) bool
-	rank(k Key) (uint32, bool)
-	// insert adds a key that must not be present and returns its rank.
-	insert(k Key) uint32
-	// size counts every key ever inserted, including spilled ones.
-	size() int
-	// resident counts keys currently held in memory.
-	resident() int
-	// bytes estimates the resident heap footprint.
-	bytes() int64
-	// forEach visits every resident key with its rank.
-	forEach(f func(k Key, rank uint32))
-	// spill serializes and drops all resident entries (nil when the
-	// store does not support spilling or nothing is resident).
-	spill() []byte
-	// restore re-adds the entries of a blob produced by spill with
-	// their original ranks, rolling back a failed spill write.
-	restore(blob []byte) error
-	// reset empties the store for reuse, keeping its capacity.
-	reset()
-}
-
 // parentRec is the provenance of one admitted state, indexed by its
-// rank: the admission rank of the state it was first reached from, the
-// acting cache, and the operation (an index into Protocol.Ops). 8 bytes
-// per state, vs the old map[Key]parent's ~130.
+// rank in the visited set (internal/stateset, where a key's rank is its
+// admission order): the admission rank of the state it was first reached
+// from, the acting cache, and the operation (an index into Protocol.Ops).
+// 8 bytes per state, vs the old map[Key]parent's ~130.
 type parentRec struct {
 	parent uint32
 	cache  uint16
@@ -54,22 +23,6 @@ const noParent = ^uint32(0)
 // parentRecBytes is the slice cost per provenance record.
 const parentRecBytes = 8
 
-// newStore picks the store implementation for a run: the compact
-// hash-indexed set when the codec packs keys into fixed-width bytes, the
-// map fallback otherwise (huge n or state alphabets, where keys carry
-// heap strings a flat slab cannot hold).
-func newStore(kc *keyCodec, n int) visitedStore {
-	if kc.packed {
-		return newCompactStore(n)
-	}
-	return newMapStore()
-}
-
-// newStores returns a run's visited and tuple stores.
-func newStores(kc *keyCodec, n int) (visited, tuples visitedStore) {
-	return newStore(kc, n), newStore(kc, n)
-}
-
 // buildOpIndex maps each operation to its index in p.Ops for the uint8
 // op field of parentRec.
 func buildOpIndex(p *fsm.Protocol) (map[fsm.Op]uint8, error) {
@@ -81,108 +34,4 @@ func buildOpIndex(p *fsm.Protocol) (map[fsm.Op]uint8, error) {
 		ix[op] = uint8(i)
 	}
 	return ix, nil
-}
-
-// keyBytes returns the width-(n+1) byte form of a packed Key the compact
-// store holds: the n per-cache bytes and the reserved marker/memory byte.
-// It aliases k.
-func keyBytes(k *Key, n int) []byte { return k.packed[:n+1] }
-
-// unpackKeyBytes is the inverse of keyBytes.
-func unpackKeyBytes(b []byte) Key {
-	var k Key
-	copy(k.packed[:], b)
-	return k
-}
-
-// compactStore backs packed runs with the hash-indexed slab of
-// internal/stateset: n+5 bytes per resident state (key + rank) plus its
-// index slots, instead of a map entry's ~130, and Spill support for
-// out-of-core runs.
-type compactStore struct {
-	set *stateset.Set
-	n   int
-}
-
-func newCompactStore(n int) *compactStore {
-	return &compactStore{set: stateset.New(n + 1), n: n}
-}
-
-func (cs *compactStore) has(k Key) bool { return cs.set.Has(keyBytes(&k, cs.n)) }
-
-func (cs *compactStore) rank(k Key) (uint32, bool) { return cs.set.Rank(keyBytes(&k, cs.n)) }
-
-func (cs *compactStore) insert(k Key) uint32 { return cs.set.Insert(keyBytes(&k, cs.n)) }
-
-func (cs *compactStore) size() int     { return cs.set.Len() }
-func (cs *compactStore) resident() int { return cs.set.Resident() }
-func (cs *compactStore) bytes() int64  { return cs.set.Bytes() }
-
-func (cs *compactStore) forEach(f func(k Key, rank uint32)) {
-	cs.set.ForEach(func(b []byte, r uint32) { f(unpackKeyBytes(b), r) })
-}
-
-func (cs *compactStore) spill() []byte { return cs.set.Spill() }
-
-func (cs *compactStore) restore(blob []byte) error { return cs.set.Restore(blob) }
-
-func (cs *compactStore) reset() { cs.set.Reset() }
-
-// mapStore is the fallback for runs the codec cannot pack. Same
-// interface, classic map + slice layout, no spill support.
-type mapStore struct {
-	ranks    map[Key]uint32
-	keys     []Key
-	strBytes int64
-}
-
-// mapEntryBytes approximates the heap cost of one mapStore entry: the
-// 80-byte Key twice (map key and rank-index slice), the rank value and
-// map bucket overhead.
-const mapEntryBytes = 240
-
-func newMapStore() *mapStore {
-	return &mapStore{ranks: make(map[Key]uint32)}
-}
-
-func (ms *mapStore) has(k Key) bool {
-	_, ok := ms.ranks[k]
-	return ok
-}
-
-func (ms *mapStore) rank(k Key) (uint32, bool) {
-	r, ok := ms.ranks[k]
-	return r, ok
-}
-
-func (ms *mapStore) insert(k Key) uint32 {
-	r := uint32(len(ms.keys))
-	ms.ranks[k] = r
-	ms.keys = append(ms.keys, k)
-	ms.strBytes += int64(len(k.str))
-	return r
-}
-
-func (ms *mapStore) size() int     { return len(ms.keys) }
-func (ms *mapStore) resident() int { return len(ms.keys) }
-
-func (ms *mapStore) bytes() int64 {
-	return int64(len(ms.keys))*mapEntryBytes + ms.strBytes
-}
-
-func (ms *mapStore) forEach(f func(k Key, rank uint32)) {
-	for r, k := range ms.keys {
-		f(k, uint32(r))
-	}
-}
-
-func (ms *mapStore) spill() []byte { return nil }
-
-func (ms *mapStore) reset() {
-	clear(ms.ranks)
-	ms.keys, ms.strBytes = ms.keys[:0], 0
-}
-
-func (ms *mapStore) restore([]byte) error {
-	return fmt.Errorf("enum: map-backed visited store cannot restore a spill blob")
 }

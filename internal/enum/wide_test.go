@@ -1,53 +1,33 @@
 package enum
 
 import (
+	"strings"
 	"testing"
-
-	"repro/internal/fsm"
-	"repro/internal/mutate"
-	"repro/internal/protocols"
 )
 
-// TestWidePackedMatchesStringKeys pins the packed encoding between 32 and
-// 63 caches, a range that used to take the string fallback: counting
-// Dragon and MESI at n=40 and n=48, and the first Dragon mutant that
-// counting enumeration refutes at n=40, must give identical Unique,
-// Visits, TupleStates, verdicts and witness paths with packed keys and
-// with the forced string path.
+// TestWidePackedMatchesStringKeys pins counting enumeration between 40
+// and 48 caches — a range that once took a string-key fallback — against
+// the expansion reference (see referenceCases): counting Dragon and MESI
+// at n=40 and n=48 must verify clean, and the Dragon mutants up to the
+// first one refuted at n=40 must give identical Unique, Visits,
+// TupleStates, verdicts and witness paths.
 func TestWidePackedMatchesStringKeys(t *testing.T) {
-	defer func() { testForceStringKeys = false }()
-	run := func(p *fsm.Protocol, n int, forceStrings bool) *Result {
-		t.Helper()
-		testForceStringKeys = forceStrings
-		defer func() { testForceStringKeys = false }()
-		if got := newKeyCodec(p, n, ModeCounting).packed; got == forceStrings {
-			t.Fatalf("%s n=%d: codec packed=%t with forced strings=%t", p.Name, n, got, forceStrings)
+	want := loadReference(t)
+	var last referenceCase
+	for _, c := range referenceCases(t) {
+		if c.n != 40 && c.n != 48 {
+			continue
 		}
-		r, err := Counting(p, n, Options{Strict: true})
-		if err != nil {
-			t.Fatalf("%s n=%d strings=%t: %v", p.Name, n, forceStrings, err)
+		w, ok := want[c.name]
+		if !ok {
+			t.Fatalf("%s: missing from the reference file", c.name)
 		}
-		return r
+		if got := runReference(t, c); got != w {
+			t.Fatalf("%s: diverges from the reference\n got: %.2000s\nwant: %.2000s", c.name, got, w)
+		}
+		last = c
 	}
-	check := func(p *fsm.Protocol, n int) *Result {
-		t.Helper()
-		packed, str := run(p, n, false), run(p, n, true)
-		if got, want := resultSignature(packed), resultSignature(str); got != want {
-			t.Fatalf("%s n=%d: packed path diverges from string path\npacked: %s\nstring: %s", p.Name, n, got, want)
-		}
-		return packed
+	if last.p == nil || !strings.Contains(want[last.name], "violation ") {
+		t.Fatal("the wide cases end in no refuted Dragon mutant")
 	}
-	for _, p := range []*fsm.Protocol{protocols.Dragon(), protocols.MESI()} {
-		for _, n := range []int{40, 48} {
-			if r := check(p, n); !r.OK() {
-				t.Fatalf("%s n=%d: library protocol reported violations", p.Name, n)
-			}
-		}
-	}
-	for _, m := range mutate.Catalog(protocols.Dragon()) {
-		if r := check(m.Protocol, 40); !r.OK() {
-			return
-		}
-	}
-	t.Fatal("no Dragon mutant is refuted by counting enumeration at n=40")
 }

@@ -18,14 +18,14 @@ func FuzzNewBlobReader(f *testing.F) {
 	blob := s.Spill()
 	f.Add(blob)
 	f.Add(blob[:len(blob)/2])
-	f.Add(blob[:len(blobMagic)+1])
+	f.Add(blob[:headerSize])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		r, err := NewBlobReader(blob)
 		if err != nil {
 			return
 		}
-		header := len(blobMagic) + 1 + numShards*4
+		header := headerSize + numShards*4
 		if want := header + r.Len()*(r.Width()+4); want != len(blob) {
 			t.Fatalf("reader claims %d entries of width %d: framing needs %d bytes, blob has %d",
 				r.Len(), r.Width(), want, len(blob))

@@ -17,7 +17,8 @@
 //
 // Spill support: Spill sorts the resident entries once, serializes them
 // into a blob of 256 sorted sections (one per first key byte) and drops
-// them from memory; BlobReader answers Has/Rank against such a blob with
+// them from memory; a blob is "SSP2", the key width as a little-endian
+// uint16, then the sections, each a uint32 entry count and its entries; BlobReader answers Has/Rank against such a blob with
 // binary search and no decode step, so cold entries can live on disk
 // (through any envelope the caller likes — the enumeration uses ckptio's
 // CRC32 envelope) and stream back for dedup at level boundaries.
@@ -29,6 +30,9 @@ import (
 	"fmt"
 	"sort"
 )
+
+// MaxWidth is the widest key a Set holds.
+const MaxWidth = 1<<16 - 1
 
 const (
 	// numShards is the number of sections of a spill blob: its entries
@@ -43,8 +47,22 @@ const (
 	setOverhead = 96
 )
 
-// blobMagic prefixes a spill blob: "SSP" + format version 1.
-var blobMagic = [4]byte{'S', 'S', 'P', '1'}
+// blobMagic prefixes a spill blob: "SSP" + format version 2. Version 1
+// stored the key width in one byte.
+var blobMagic = [4]byte{'S', 'S', 'P', '2'}
+
+// headerSize is the size of a blob's magic and width fields.
+const headerSize = len(blobMagic) + 2
+
+// VersionError reports a spill blob of another format version.
+type VersionError struct {
+	// Version is the blob's format version byte.
+	Version byte
+}
+
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("stateset: spill blob format version %q is not supported (this build reads %q)", e.Version, blobMagic[3])
+}
 
 // Set is a compact insert-only set of fixed-width byte keys. Not safe
 // for concurrent mutation; concurrent Has/Rank calls are safe between
@@ -63,10 +81,11 @@ type Set struct {
 	index []uint32
 }
 
-// New returns an empty set over keys of exactly width bytes (1..255).
+// New returns an empty set over keys of exactly width bytes
+// (1..MaxWidth).
 func New(width int) *Set {
-	if width < 1 || width > 255 {
-		panic(fmt.Sprintf("stateset: key width %d out of range [1,255]", width))
+	if width < 1 || width > MaxWidth {
+		panic(fmt.Sprintf("stateset: key width %d out of range [1,%d]", width, MaxWidth))
 	}
 	return &Set{width: width, esize: width + 4}
 }
@@ -154,9 +173,9 @@ func (s *Set) Spill() []byte {
 		return nil
 	}
 	sortEntries(s.slab, s.width, s.esize, false)
-	blob := make([]byte, 0, len(blobMagic)+1+numShards*4+len(s.slab))
+	blob := make([]byte, 0, headerSize+numShards*4+len(s.slab))
 	blob = append(blob, blobMagic[:]...)
-	blob = append(blob, byte(s.width))
+	blob = binary.LittleEndian.AppendUint16(blob, uint16(s.width))
 	rest := s.slab
 	for si := 0; si < numShards; si++ {
 		size := 0
@@ -269,7 +288,7 @@ func searchRun(run []byte, width, esize int, k []byte) (uint32, bool) {
 // sortEntries sorts width+4-byte entries in buf in place, by key bytes
 // or, with byRank, by rank.
 func sortEntries(buf []byte, width, esize int, byRank bool) {
-	sort.Sort(&entrySorter{buf: buf, width: width, esize: esize, byRank: byRank})
+	sort.Sort(&entrySorter{buf: buf, width: width, esize: esize, byRank: byRank, tmp: make([]byte, esize)})
 }
 
 type entrySorter struct {
@@ -277,7 +296,7 @@ type entrySorter struct {
 	width  int
 	esize  int
 	byRank bool
-	tmp    [260]byte // max esize: 255-byte key + 4-byte rank
+	tmp    []byte // one entry
 }
 
 func (e *entrySorter) Len() int { return len(e.buf) / e.esize }
@@ -293,10 +312,9 @@ func (e *entrySorter) Less(i, j int) bool {
 func (e *entrySorter) Swap(i, j int) {
 	a := e.buf[i*e.esize : (i+1)*e.esize]
 	b := e.buf[j*e.esize : (j+1)*e.esize]
-	t := e.tmp[:e.esize]
-	copy(t, a)
+	copy(e.tmp, a)
 	copy(a, b)
-	copy(b, t)
+	copy(b, e.tmp)
 }
 
 // BlobReader answers membership and rank queries against a spill blob
@@ -312,18 +330,21 @@ type BlobReader struct {
 // The reader aliases blob; the caller must keep blob alive and
 // unmodified.
 func NewBlobReader(blob []byte) (*BlobReader, error) {
-	if len(blob) < len(blobMagic)+1 {
+	if len(blob) < headerSize {
 		return nil, fmt.Errorf("stateset: spill blob too short (%d bytes)", len(blob))
 	}
 	if !bytes.Equal(blob[:len(blobMagic)], blobMagic[:]) {
+		if bytes.Equal(blob[:3], blobMagic[:3]) {
+			return nil, &VersionError{Version: blob[3]}
+		}
 		return nil, fmt.Errorf("stateset: bad spill blob magic %q", blob[:len(blobMagic)])
 	}
-	r := &BlobReader{width: int(blob[len(blobMagic)])}
+	r := &BlobReader{width: int(binary.LittleEndian.Uint16(blob[len(blobMagic):]))}
 	if r.width < 1 {
 		return nil, fmt.Errorf("stateset: spill blob key width %d out of range", r.width)
 	}
 	r.esize = r.width + 4
-	rest := blob[len(blobMagic)+1:]
+	rest := blob[headerSize:]
 	for si := 0; si < numShards; si++ {
 		if len(rest) < 4 {
 			return nil, fmt.Errorf("stateset: spill blob truncated at shard %d header", si)

@@ -3,6 +3,7 @@ package stateset
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -158,7 +159,7 @@ func TestBlobReaderRejectsCorruptBlobs(t *testing.T) {
 	}
 	// Inflate a shard count beyond the available bytes.
 	huge := append([]byte{}, blob...)
-	binary.LittleEndian.PutUint32(huge[5:9], 1<<30)
+	binary.LittleEndian.PutUint32(huge[headerSize:], 1<<30)
 	cases["huge count"] = huge
 	for name, b := range cases {
 		if _, err := NewBlobReader(b); err == nil {
@@ -167,6 +168,40 @@ func TestBlobReaderRejectsCorruptBlobs(t *testing.T) {
 	}
 	if _, err := NewBlobReader(blob); err != nil {
 		t.Errorf("valid blob rejected: %v", err)
+	}
+}
+
+// TestBlobFormatVersions checks that a blob of the previous format
+// version, which stored the width in one byte, is rejected with a
+// VersionError, and that keys wider than that byte could hold round-trip
+// through Spill.
+func TestBlobFormatVersions(t *testing.T) {
+	v1 := append([]byte("SSP1"), 4)
+	for i := 0; i < numShards; i++ {
+		v1 = binary.LittleEndian.AppendUint32(v1, 0)
+	}
+	var ve *VersionError
+	if _, err := NewBlobReader(v1); !errors.As(err, &ve) || ve.Version != '1' {
+		t.Fatalf("version-1 blob: got %v, want a VersionError for version 1", err)
+	}
+
+	const width = 300
+	s := New(width)
+	keys := randomKeys(rand.New(rand.NewSource(9)), width, 200)
+	for _, k := range keys {
+		s.Insert(k)
+	}
+	br, err := NewBlobReader(s.Spill())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if br.Width() != width || br.Len() != len(keys) {
+		t.Fatalf("blob Width=%d Len=%d, want %d and %d", br.Width(), br.Len(), width, len(keys))
+	}
+	for i, k := range keys {
+		if r, ok := br.Rank(k); !ok || r != uint32(i) {
+			t.Fatalf("blob Rank(key %d) = %d,%v", i, r, ok)
+		}
 	}
 }
 
