@@ -1,20 +1,26 @@
 // Command cctrace is the trace-driven workload toolchain: it materializes
 // the synthetic workload generators into deterministic cctrace v1 files,
 // replays trace files through the concrete simulator under any built-in
-// protocol, and compares a set of protocols head-to-head on one identical
+// protocol, compares a set of protocols head-to-head on one identical
 // reference stream — the classic trace-driven methodology the paper's
-// protocol suite was originally evaluated with.
+// protocol suite was originally evaluated with — and steps one protocol
+// through an explicit reference sequence, the whiteboard walkthrough of a
+// design mechanized.
 //
 // Usage:
 //
 //	cctrace gen -workload migratory -caches 4 -blocks 64 -ops 100000 -o mig.trace
 //	cctrace gen -workload uniform -ops 1000000 -gzip -o u.trace.gz
 //	cctrace replay -protocol mesi mig.trace
+//	cctrace gen -workload hot-block | cctrace replay -protocol mesi -capacity 8 -
 //	cctrace compare -protocols msi,mesi,moesi,dragon -json report.json mig.trace
+//	cctrace step -protocol illinois -n 3 -script "0R 1R 1W 0R 1Z"
+//	cctrace step -protocol dragon -n 4            # interactive (reads stdin)
 //
 // Trace files may be plain text or gzipped (detected by content, not file
 // name); "-" reads standard input. Replays stop cleanly on SIGINT/SIGTERM
-// or when -timeout expires, reporting partial statistics.
+// or when -timeout expires, reporting partial statistics. A step reference
+// is <cache><op>: "0R" (cache 0 reads), "2W" (writes), "1Z" (replaces).
 //
 // Exit codes: 0 clean, 1 usage or internal error, 2 final-state invariant
 // violations or stale reads, 3 stopped early (timeout, signal, budget).
@@ -33,7 +39,9 @@ import (
 	"repro/internal/obs"
 	"repro/internal/protocols"
 	"repro/internal/replay"
+	"repro/internal/report"
 	"repro/internal/runctl"
+	"repro/internal/sim"
 )
 
 func usage() {
@@ -41,6 +49,7 @@ func usage() {
   cctrace gen     -workload KIND -caches N -blocks N -ops N [-seed S] [-gzip] -o FILE
   cctrace replay  -protocol NAME [flags] FILE
   cctrace compare -protocols A,B,... [flags] FILE
+  cctrace step    -protocol NAME -n N [-script "0R 1W"] [-timeout D]
 
 Workload kinds: %s
 Protocols: %s
@@ -65,6 +74,8 @@ func main() {
 		code, err = runReplay(os.Args[2:])
 	case "compare":
 		code, err = runCompare(os.Args[2:])
+	case "step":
+		code, err = runStep(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -231,7 +242,27 @@ func runReplay(args []string) (int, error) {
 	rep.Schema = replay.ReportSchema
 	rep.AddResult(res)
 	fmt.Print(rep.Table())
+	fmt.Print("\n" + statsTable(res.Stats))
 	return exitCodeFor(res), nil
+}
+
+// statsTable renders every coherence-traffic counter of one replay, the
+// detail under the single-protocol row.
+func statsTable(st sim.Stats) string {
+	t := report.NewTable("metric", "value")
+	t.AddRow("reads / writes / replacements", fmt.Sprintf("%d / %d / %d", st.Reads, st.Writes, st.Replacements))
+	t.AddRow("read hits / misses", fmt.Sprintf("%d / %d", st.ReadHits, st.ReadMisses))
+	t.AddRow("write hits / misses", fmt.Sprintf("%d / %d", st.WriteHits, st.WriteMisses))
+	t.AddRow("miss ratio", fmt.Sprintf("%.4f", st.MissRatio()))
+	t.AddRow("invalidations", st.Invalidations)
+	t.AddRow("broadcast updates", st.Updates)
+	t.AddRow("cache-to-cache supplies", st.CacheSupplies)
+	t.AddRow("memory supplies", st.MemorySupplies)
+	t.AddRow("write-backs", st.WriteBacks)
+	t.AddRow("bus transactions", st.BusTransactions)
+	t.AddRow("capacity evictions", st.CapacityEvictions)
+	t.AddRow("STALE READS", st.StaleReads)
+	return t.String()
 }
 
 // runCompare fans one trace out to several protocols.
