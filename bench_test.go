@@ -9,6 +9,7 @@ package repro
 // claim: verification cost is a small constant independent of the number of
 // caches, while the Figure 2 exhaustive baseline grows like mⁿ with n.
 import (
+	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -275,7 +276,7 @@ func BenchmarkSimulator(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			st, err := m.Run(w, b.N)
+			st, err := m.Run(context.Background(), w, b.N)
 			if err != nil {
 				b.Fatal(err)
 			}

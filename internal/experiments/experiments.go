@@ -5,6 +5,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -15,10 +16,10 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mutate"
 	"repro/internal/protocols"
+	"repro/internal/replay"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/symbolic"
-	"repro/internal/trace"
 )
 
 // Fig1 is experiment E1: the per-cache (local) transition diagram of the
@@ -334,24 +335,14 @@ type WorkloadRow struct {
 // Workloads runs every protocol against the canonical sharing patterns and
 // collects bus-traffic statistics.
 func Workloads(caches, blocks, ops int, seed int64) ([]WorkloadRow, error) {
-	mk := func(kind string) (trace.Workload, error) {
-		switch kind {
-		case "uniform":
-			return trace.NewUniform(seed, caches, blocks, 0.3, 0.02)
-		case "hot-block":
-			return trace.NewHotBlock(seed, caches, blocks, 0.3, 0.5)
-		case "migratory":
-			return trace.NewMigratory(seed, caches, blocks, 4)
-		case "producer-consumer":
-			return trace.NewProducerConsumer(seed, caches, blocks, 4)
-		default:
-			return nil, fmt.Errorf("experiments: unknown workload %q", kind)
-		}
-	}
 	var rows []WorkloadRow
 	for _, p := range protocols.All() {
-		for _, kind := range []string{"uniform", "hot-block", "migratory", "producer-consumer"} {
-			w, err := mk(kind)
+		for _, kind := range []string{replay.KindUniform, replay.KindHotBlock, replay.KindMigratory, replay.KindProducerConsumer} {
+			spec := replay.WorkloadSpec{Kind: kind, Seed: seed, Caches: caches, Blocks: blocks, Ops: ops}
+			if err := spec.Normalize(); err != nil {
+				return nil, err
+			}
+			w, err := replay.NewWorkload(spec)
 			if err != nil {
 				return nil, err
 			}
@@ -359,7 +350,7 @@ func Workloads(caches, blocks, ops int, seed int64) ([]WorkloadRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			st, err := m.Run(w, ops)
+			st, err := m.Run(context.TODO(), w, ops)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s/%s: %w", p.Name, kind, err)
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -45,7 +46,7 @@ func FalseSharingSweep(names []string, caches, groups, ops int, seed int64, bloc
 			if err != nil {
 				return nil, err
 			}
-			st, err := m.Run(w, ops)
+			st, err := m.Run(context.TODO(), w, ops)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s wpb=%d: %w", name, wpb, err)
 			}

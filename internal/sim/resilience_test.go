@@ -11,7 +11,7 @@ import (
 	"repro/internal/trace"
 )
 
-func TestRunContextCanceled(t *testing.T) {
+func TestRunCanceled(t *testing.T) {
 	m, err := New(Config{Protocol: protocols.Illinois(), Caches: 4, Blocks: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -22,7 +22,7 @@ func TestRunContextCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	stats, err := m.RunContext(ctx, w, 100000)
+	stats, err := m.Run(ctx, w, 100000)
 	if !errors.Is(err, runctl.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -31,7 +31,7 @@ func TestRunContextCanceled(t *testing.T) {
 	}
 }
 
-func TestRunContextDeadlineMidRun(t *testing.T) {
+func TestRunDeadlineMidRun(t *testing.T) {
 	m, err := New(Config{Protocol: protocols.Illinois(), Caches: 4, Blocks: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +43,7 @@ func TestRunContextDeadlineMidRun(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(5*time.Millisecond))
 	defer cancel()
 	// Effectively unbounded op count: only the deadline can end the run.
-	stats, err := m.RunContext(ctx, w, 1<<40)
+	stats, err := m.Run(ctx, w, 1<<40)
 	if !errors.Is(err, runctl.ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
 	}

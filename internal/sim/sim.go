@@ -311,28 +311,23 @@ func (m *Machine) step(ref trace.Ref) (fsm.StepResult, error) {
 	return m.cp.Result(cres), nil
 }
 
-// Run drives the machine with nops references from the workload, stopping
-// early on an execution error. The returned stats are the machine's
-// cumulative counters.
-func (m *Machine) Run(w trace.Workload, nops int) (Stats, error) {
-	return m.RunContext(context.Background(), w, nops)
-}
-
 // ctxCheckInterval is how many operations run between context checks: a
 // power of two so the modulo folds to a mask, coarse enough that the check
 // does not perturb the simulator's throughput.
 const ctxCheckInterval = 1024
 
-// runRefsBatch is the workload pull-batch size RunContext uses when
-// feeding RunRefs: large enough to amortize the call, small enough that a
-// canceled run stops promptly.
+// runRefsBatch is the workload pull-batch size Run uses when feeding
+// RunRefs: large enough to amortize the call, small enough that a canceled
+// run stops promptly.
 const runRefsBatch = 1024
 
-// RunContext is Run under a context: cancellation and deadlines are checked
-// every ctxCheckInterval operations, returning the cumulative stats so far
-// with an error matching runctl.ErrCanceled or runctl.ErrDeadline. It is a
-// wrapper over RunRefs, pulling references from the workload in batches.
-func (m *Machine) RunContext(ctx context.Context, w trace.Workload, nops int) (Stats, error) {
+// Run drives the machine with nops references from the workload, stopping
+// early on an execution error. Cancellation and deadlines are checked every
+// ctxCheckInterval operations, returning the cumulative stats so far with
+// an error matching runctl.ErrCanceled or runctl.ErrDeadline. The returned
+// stats are the machine's cumulative counters. It is a wrapper over
+// RunRefs, pulling references from the workload in batches.
+func (m *Machine) Run(ctx context.Context, w trace.Workload, nops int) (Stats, error) {
 	var buf [runRefsBatch]trace.Ref
 	for done := 0; done < nops; {
 		n := nops - done

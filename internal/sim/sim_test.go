@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/fsm"
@@ -49,7 +50,7 @@ func TestStatsAccountingIdentities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := m.Run(w, 50000)
+	st, err := m.Run(context.Background(), w, 50000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestAllProtocolsAllWorkloadsCoherent(t *testing.T) {
 				t.Fatal(err)
 			}
 			m := newMachine(t, Config{Protocol: p, Caches: 4, Blocks: 8, Capacity: 4, Strict: true})
-			st, err := m.Run(w, 30000)
+			st, err := m.Run(context.Background(), w, 30000)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", p.Name, w.Name(), err)
 			}
@@ -224,7 +225,7 @@ func TestBrokenProtocolShowsStaleReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := m.Run(w, 50000)
+	st, err := m.Run(context.Background(), w, 50000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +306,7 @@ func TestRuleCountsDynamicCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(w, 100000); err != nil {
+	if _, err := m.Run(context.Background(), w, 100000); err != nil {
 		t.Fatal(err)
 	}
 	counts := m.RuleCounts()
