@@ -7,11 +7,12 @@
 //	ccexperiments -exp fig4       # one experiment:
 //	                              # fig1 fig4 fig4table a2 complexity suite
 //	                              # mutants workloads
-//	ccexperiments -timeout 2m     # stop cleanly at the next experiment boundary
+//	ccexperiments -timeout 2m     # stop cleanly when the limit expires
 //
 // The sweep stops cleanly on SIGINT/SIGTERM or when -timeout expires: the
-// current experiment finishes, remaining ones are skipped, and the process
-// exits with code 3.
+// simulator experiments (workloads, falsesharing) stop inside their current
+// run, any other experiment finishes, remaining ones are skipped, and the
+// process exits with code 3.
 package main
 
 import (
@@ -26,7 +27,7 @@ import (
 var allExperiments = []struct {
 	name string
 	desc string
-	run  func() error
+	run  func(context.Context) error
 }{
 	{"fig1", "E1: Illinois per-cache transition diagram (Figure 1)", runFig1},
 	{"fig4", "E4: Illinois global transition diagram (Figure 4)", runFig4},
@@ -43,7 +44,7 @@ var allExperiments = []struct {
 func main() {
 	var (
 		exp         = flag.String("exp", "all", "experiment to run (all, fig1, fig4, fig4table, a2, complexity, suite, mutants, workloads)")
-		timeout     = flag.Duration("timeout", 0, "wall-clock limit for the sweep, checked between experiments (0: none)")
+		timeout     = flag.Duration("timeout", 0, "wall-clock limit for the sweep, checked between experiments and inside the simulator runs (0: none)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		showVersion = flag.Bool("version", false, "print version information and exit")
@@ -85,9 +86,9 @@ func main() {
 			exit(runctl.ExitStopped)
 		}
 		ran = true
-		if err := e.run(); err != nil {
+		if err := e.run(ctx); err != nil {
 			fmt.Fprintf(os.Stderr, "ccexperiments: %s: %v\n", e.name, err)
-			exit(runctl.ExitUsage)
+			exit(runctl.ExitCode(err))
 		}
 		fmt.Println()
 	}

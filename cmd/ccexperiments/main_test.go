@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/clitest"
@@ -11,7 +12,7 @@ import (
 // heavyweight complexity/workload sweeps which are covered (with smaller
 // parameters) by the internal/experiments tests.
 func TestRunnersExecute(t *testing.T) {
-	runners := map[string]func() error{
+	runners := map[string]func(context.Context) error{
 		"fig1":      runFig1,
 		"fig4":      runFig4,
 		"fig4table": runFig4Table,
@@ -22,7 +23,7 @@ func TestRunnersExecute(t *testing.T) {
 	for name, f := range runners {
 		name, f := name, f
 		t.Run(name, func(t *testing.T) {
-			if err := f(); err != nil {
+			if err := f(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -55,4 +56,12 @@ func TestMain(m *testing.M) { clitest.Main(m, main) }
 func TestBadFlagExitCode(t *testing.T) {
 	clitest.ExpectCode(t, runctl.ExitUsage, "-bogus")
 	clitest.ExpectCode(t, runctl.ExitClean, "-h")
+}
+
+// TestTimeoutStopsInsideExperiment: a timeout that expires inside the
+// workloads experiment (a full run takes seconds) stops the simulation in
+// progress and exits ExitStopped, instead of finishing the run and exiting
+// clean.
+func TestTimeoutStopsInsideExperiment(t *testing.T) {
+	clitest.ExpectCode(t, runctl.ExitStopped, "-exp", "workloads", "-timeout", "200ms")
 }

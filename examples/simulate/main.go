@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,7 @@ func main() {
 		ops    = 200000
 		seed   = 1993
 	)
-	rows, err := experiments.Workloads(caches, blocks, ops, seed)
+	rows, err := experiments.Workloads(context.Background(), caches, blocks, ops, seed)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -333,8 +333,9 @@ type WorkloadRow struct {
 }
 
 // Workloads runs every protocol against the canonical sharing patterns and
-// collects bus-traffic statistics.
-func Workloads(caches, blocks, ops int, seed int64) ([]WorkloadRow, error) {
+// collects bus-traffic statistics. Canceling ctx stops the current
+// simulation with an error matching runctl.ErrCanceled or ErrDeadline.
+func Workloads(ctx context.Context, caches, blocks, ops int, seed int64) ([]WorkloadRow, error) {
 	var rows []WorkloadRow
 	for _, p := range protocols.All() {
 		for _, kind := range []string{replay.KindUniform, replay.KindHotBlock, replay.KindMigratory, replay.KindProducerConsumer} {
@@ -350,7 +351,7 @@ func Workloads(caches, blocks, ops int, seed int64) ([]WorkloadRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			st, err := m.Run(context.TODO(), w, ops)
+			st, err := m.Run(ctx, w, ops)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s/%s: %w", p.Name, kind, err)
 			}
@@ -364,8 +365,8 @@ func Workloads(caches, blocks, ops int, seed int64) ([]WorkloadRow, error) {
 }
 
 // RenderWorkloads prints the simulator comparison.
-func RenderWorkloads(w io.Writer, caches, blocks, ops int, seed int64) error {
-	rows, err := Workloads(caches, blocks, ops, seed)
+func RenderWorkloads(ctx context.Context, w io.Writer, caches, blocks, ops int, seed int64) error {
+	rows, err := Workloads(ctx, caches, blocks, ops, seed)
 	if err != nil {
 		return err
 	}

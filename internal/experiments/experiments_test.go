@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/protocols"
+	"repro/internal/runctl"
 )
 
 func TestFig1HasFullIllinoisRuleSet(t *testing.T) {
@@ -110,7 +112,7 @@ func TestMutantsAllDetected(t *testing.T) {
 }
 
 func TestWorkloadsCoherent(t *testing.T) {
-	rows, err := Workloads(4, 8, 20000, 7)
+	rows, err := Workloads(context.Background(), 4, 8, 20000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,12 +129,26 @@ func TestWorkloadsCoherent(t *testing.T) {
 	}
 }
 
+// TestSimulatorExperimentsStopOnCancel: a canceled context stops the
+// simulator experiments inside their first run, with a stop error.
+func TestSimulatorExperimentsStopOnCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Workloads(ctx, 4, 8, 20000, 7); !runctl.IsStop(err) {
+		t.Errorf("Workloads on a canceled context: %v, want a stop error", err)
+	}
+	_, err := FalseSharingSweep(ctx, []string{"illinois"}, 4, 4, 30000, 11, []int{1})
+	if !runctl.IsStop(err) {
+		t.Errorf("FalseSharingSweep on a canceled context: %v, want a stop error", err)
+	}
+}
+
 func TestWorkloadsShowProtocolContrasts(t *testing.T) {
 	// The qualitative contrast from Archibald & Baer: on producer-consumer
 	// sharing, write-broadcast protocols (Firefly, Dragon) never invalidate
 	// — consumers keep their copies — while write-invalidate protocols
 	// (Illinois) invalidate on every producer store.
-	rows, err := Workloads(8, 8, 50000, 3)
+	rows, err := Workloads(context.Background(), 8, 8, 50000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +200,7 @@ func TestRenderersProduceOutput(t *testing.T) {
 		}},
 		{"workloads", func() (string, error) {
 			var b bytes.Buffer
-			err := RenderWorkloads(&b, 2, 4, 2000, 1)
+			err := RenderWorkloads(context.Background(), &b, 2, 4, 2000, 1)
 			return b.String(), err
 		}},
 	}

@@ -24,8 +24,9 @@ type FalseSharingRow struct {
 // observation falls out: with one word per block there is no coherence
 // traffic at all, and every doubling of the block size multiplies the
 // invalidation (or update) traffic although the program's true sharing is
-// unchanged.
-func FalseSharingSweep(names []string, caches, groups, ops int, seed int64, blockSizes []int) ([]FalseSharingRow, error) {
+// unchanged. Canceling ctx stops the current simulation with an error
+// matching runctl.ErrCanceled or ErrDeadline.
+func FalseSharingSweep(ctx context.Context, names []string, caches, groups, ops int, seed int64, blockSizes []int) ([]FalseSharingRow, error) {
 	var rows []FalseSharingRow
 	for _, name := range names {
 		p, err := protocols.ByName(name)
@@ -46,7 +47,7 @@ func FalseSharingSweep(names []string, caches, groups, ops int, seed int64, bloc
 			if err != nil {
 				return nil, err
 			}
-			st, err := m.Run(context.TODO(), w, ops)
+			st, err := m.Run(ctx, w, ops)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s wpb=%d: %w", name, wpb, err)
 			}
@@ -60,8 +61,8 @@ func FalseSharingSweep(names []string, caches, groups, ops int, seed int64, bloc
 }
 
 // RenderFalseSharing prints the block-size sweep.
-func RenderFalseSharing(w io.Writer, caches, groups, ops int, seed int64) error {
-	rows, err := FalseSharingSweep(
+func RenderFalseSharing(ctx context.Context, w io.Writer, caches, groups, ops int, seed int64) error {
+	rows, err := FalseSharingSweep(ctx,
 		[]string{"illinois", "firefly", "dragon"},
 		caches, groups, ops, seed, []int{1, 2, 4, 8})
 	if err != nil {

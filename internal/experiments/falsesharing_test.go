@@ -2,12 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestFalseSharingBlockSizeEffect(t *testing.T) {
-	rows, err := FalseSharingSweep([]string{"illinois", "firefly"},
+	rows, err := FalseSharingSweep(context.Background(), []string{"illinois", "firefly"},
 		4, 4, 30000, 11, []int{1, 2, 4})
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +63,7 @@ func TestFalseSharingBlockSizeEffect(t *testing.T) {
 
 func TestRenderFalseSharing(t *testing.T) {
 	var b bytes.Buffer
-	if err := RenderFalseSharing(&b, 4, 4, 5000, 3); err != nil {
+	if err := RenderFalseSharing(context.Background(), &b, 4, 4, 5000, 3); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "false sharing") {

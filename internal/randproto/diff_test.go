@@ -28,6 +28,11 @@ func TestDifferentialSoundness(t *testing.T) {
 			t.Fatalf("round %d: generated protocol has spec errors: %v", round, sym.SpecErrors)
 		}
 		symBad := len(sym.Violations) > 0
+		if !symBad && !sym.Truncated {
+			if err := symbolic.Certify(p, false, sym.Essential); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
 
 		concBad := false
 		for _, n := range []int{2, 3} {
@@ -65,9 +70,9 @@ func TestDifferentialSoundness(t *testing.T) {
 }
 
 // TestDifferentialCompleteness: protocols the symbolic verifier declares
-// permissible must enumerate clean for every tested cache count, and every
-// reachable concrete state must be covered by an essential state (Theorem 1
-// on random protocols).
+// permissible must enumerate clean for every tested cache count, every
+// reachable concrete state must be covered by an essential state, and the
+// essential set must pass Certify (Theorem 1 on random protocols).
 func TestDifferentialCompleteness(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	cleanCount := 0
@@ -101,11 +106,17 @@ func TestDifferentialCompleteness(t *testing.T) {
 				}
 			}
 		}
-		if sym.OK() {
+		if sym.OK() && !sym.Truncated {
 			cleanCount++
+			if err := symbolic.Certify(p, false, sym.Essential); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
 		}
 	}
-	t.Logf("fuzzed %d protocols, %d verified permissible", fuzzRounds, cleanCount)
+	if cleanCount == 0 {
+		t.Fatal("the fuzzer generated no permissible protocols; no certificate was checked")
+	}
+	t.Logf("fuzzed %d protocols, %d verified permissible and certified", fuzzRounds, cleanCount)
 }
 
 func TestGeneratorDeterministic(t *testing.T) {

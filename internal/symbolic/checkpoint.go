@@ -333,7 +333,7 @@ func (e *Engine) resumeExpander(opts Options) (*expander, error) {
 			}
 			parent = s
 		}
-		x.record(k, parent, pr.Label.label())
+		x.record(k, nil, parent, pr.Label.label())
 	}
 	for _, k := range cp.Reported {
 		r := x.recs[k]

@@ -32,5 +32,6 @@
 // protocol rules. Permissibility — compatibility of cache states, at most
 // one owner, and Definition 3 data consistency (no readable obsolete copy)
 // — is checked on every state the expansion generates, before any pruning,
-// so pruning can never mask an erroneous state.
+// so pruning can never mask an erroneous state. A key generated again was
+// checked at its first visit, and its verdict stands.
 package symbolic

@@ -50,8 +50,8 @@ type ruleTab struct {
 // tables are a thin adapter over the shared compiled representation
 // (internal/compile): compilation resolves every state-name lookup a rule
 // needs into integer indexes once, and the engine copies those indexes into
-// its ruleTab form. buildTablesInterpreted is the retired pre-compile
-// builder, kept as the parity oracle for the adapter.
+// its ruleTab form. TestExpandMatchesGolden pins the tables through the
+// expansions they drive.
 func NewEngine(p *fsm.Protocol) (*Engine, error) {
 	cp, err := compile.Compile(p) // validates p
 	if err != nil {
@@ -120,54 +120,6 @@ func (e *Engine) buildTablesCompiled(cp *compile.Protocol) {
 			}
 		}
 	}
-}
-
-// buildTablesInterpreted is the pre-compile table construction, resolving
-// names through the protocol's lazy map indexes. Retained only so the
-// compile-parity suite can pin the adapter against it.
-func (e *Engine) buildTablesInterpreted() {
-	p := e.p
-	e.tabs = make(map[*fsm.Rule]*ruleTab, len(p.Rules))
-	tabSlab := make([]ruleTab, len(p.Rules))
-	obsSlab := make([]int, len(p.Rules)*e.n)
-	for i := range p.Rules {
-		r := &p.Rules[i]
-		t := &tabSlab[i]
-		t.rule, t.obs, t.next = r, obsSlab[i*e.n:(i+1)*e.n], p.StateIndex(r.Next)
-		for c := 0; c < e.n; c++ {
-			t.obs[c] = p.StateIndex(r.ObservedNext(p.States[c]))
-		}
-		for _, ss := range r.Data.Suppliers {
-			t.suppliers = append(t.suppliers, p.StateIndex(ss))
-		}
-		for _, gs := range r.Guard.States {
-			t.guardIdxs = append(t.guardIdxs, p.StateIndex(gs))
-		}
-		t.guardIsValidSet = e.isValidSet(t.guardIdxs)
-		e.tabs[r] = t
-	}
-	e.eventTabs = make([][][]*ruleTab, e.n)
-	for oi := 0; oi < e.n; oi++ {
-		e.eventTabs[oi] = make([][]*ruleTab, len(p.Ops))
-		for k, op := range p.Ops {
-			for _, r := range p.RulesFor(p.States[oi], op) {
-				e.eventTabs[oi][k] = append(e.eventTabs[oi][k], e.tabs[r])
-			}
-		}
-	}
-}
-
-// newEngineInterpreted is NewEngine over the interpreted table builder;
-// test-only parity oracle. Only the rule tables are interpreted; the shell
-// still comes from the compiled protocol.
-func newEngineInterpreted(p *fsm.Protocol) (*Engine, error) {
-	cp, err := compile.Compile(p) // validates p
-	if err != nil {
-		return nil, err
-	}
-	e := newEngineShell(cp)
-	e.buildTablesInterpreted()
-	return e, nil
 }
 
 // Protocol returns the protocol the engine was built for.
@@ -267,6 +219,12 @@ type scratch struct {
 	r2      []Rep
 	d2      []Data
 	key     []byte
+
+	// recs is the expander's record map, read-only here: emit returns the
+	// interned state of a key seen before instead of allocating one. It is
+	// nil in the scratches of speculation workers and Successors calls,
+	// which must not read the map the merge loop writes.
+	recs map[string]*keyRecord
 }
 
 // pick is a guard-resolved scenario with the rule that fires in it.
@@ -576,18 +534,6 @@ func (e *Engine) zeroSet(x *scratch, sc *scenario, tab *ruleTab) *scenario {
 	return f
 }
 
-func (e *Engine) isValidSet(idxs []int) bool {
-	if len(idxs) != len(e.validIdxs) {
-		return false
-	}
-	for _, i := range idxs {
-		if i < 0 || !e.valid[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // applyRule performs the transition on a guard-resolved scenario, branching
 // over supplier choice and over copy-count ambiguity, and appends the
 // successors to dst (dst[start:] are the event's earlier ones).
@@ -757,7 +703,8 @@ func (e *Engine) applySupplied(x *scratch, dst []Succ, start int, sc *scenario, 
 // emit canonicalizes a copy of the pooled successor vectors under copy
 // count attr and appends the resulting state to dst, unless it is
 // infeasible or equals (state and N-step tag) one of the event's earlier
-// successors dst[start:]. Only an emitted state is allocated.
+// successors dst[start:]. A state whose key x.recs has interned is reused;
+// only a state never seen before is allocated.
 func (e *Engine) emit(x *scratch, dst []Succ, start int, attr Count, mdata Data, label Label, rule *fsm.Rule) []Succ {
 	copy(x.r2, x.reps)
 	copy(x.d2, x.data)
@@ -769,6 +716,9 @@ func (e *Engine) emit(x *scratch, dst []Succ, start int, attr Count, mdata Data,
 		if su.Label.NStep == label.NStep && su.State.key == string(x.key) {
 			return dst
 		}
+	}
+	if r := x.recs[string(x.key)]; r != nil && r.state != nil {
+		return append(dst, Succ{Label: label, Rule: rule, State: r.state})
 	}
 	return append(dst, Succ{Label: label, Rule: rule, State: stateFromKey(string(x.key))})
 }

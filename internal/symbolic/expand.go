@@ -171,12 +171,19 @@ type Result struct {
 // no specification errors.
 func (r *Result) OK() bool { return len(r.Violations) == 0 && len(r.SpecErrors) == 0 }
 
-// keyRecord is the bookkeeping of one generated state key: the
-// provenance that witness paths follow, whether the state's violations
-// were reported, and whether the state entered the working list under the
-// identity dedup of the NoContainment ablation (the initial state always
-// has).
+// keyRecord is the bookkeeping of one generated state key: the interned
+// state, the provenance that witness paths follow, whether the state's
+// violations were reported, and whether the state entered the working list
+// under the identity dedup of the NoContainment ablation (the initial state
+// always has).
+//
+// A record doubles as a memo. Its state is the one every later successor
+// with the key reuses (emit returns it instead of allocating), and its mere
+// existence settles the key's Check and containment verdicts, which is why
+// processItem does neither again for a repeated key (see there). state is
+// nil for a record rebuilt from a checkpoint until the key is next visited.
 type keyRecord struct {
+	state    *CState
 	parent   *CState
 	label    Label
 	reported bool
@@ -278,6 +285,7 @@ func newExpander(e *Engine, opts Options) *expander {
 		recs: map[string]*keyRecord{},
 		res:  &Result{Protocol: e.p},
 	}
+	x.scratch.recs = x.recs
 	if !opts.NoContainment {
 		x.workIx = newCIndex()
 		x.histIx = newCIndex()
@@ -285,12 +293,13 @@ func newExpander(e *Engine, opts Options) *expander {
 	return x
 }
 
-// record creates the record of a newly generated key.
-func (x *expander) record(key string, parent *CState, label Label) *keyRecord {
+// record creates the record of a newly generated key; state is nil when
+// the record is rebuilt from a checkpoint.
+func (x *expander) record(key string, state, parent *CState, label Label) *keyRecord {
 	if len(x.recSlab) == cap(x.recSlab) {
 		x.recSlab = make([]keyRecord, 0, min(max(2*cap(x.recSlab), 16), 1024))
 	}
-	x.recSlab = append(x.recSlab, keyRecord{parent: parent, label: label})
+	x.recSlab = append(x.recSlab, keyRecord{state: state, parent: parent, label: label})
 	r := &x.recSlab[len(x.recSlab)-1]
 	x.recs[key] = r
 	return r
@@ -302,8 +311,10 @@ func (x *expander) record(key string, parent *CState, label Label) *keyRecord {
 func (e *Engine) startExpander(opts Options) *expander {
 	x := newExpander(e, opts)
 	init := e.Initial()
-	x.record(init.Key(), nil, Label{}).queued = true
+	rec := x.record(init.Key(), init, nil, Label{})
+	rec.queued = true
 	if v := e.Check(init, opts.Strict); len(v) > 0 {
+		rec.reported = true
 		x.res.Violations = append(x.res.Violations, StateViolation{State: init, Violations: v})
 		x.orun.Event(obs.MetricViolations, 1)
 		if opts.StopOnViolation {
@@ -325,11 +336,15 @@ func cstateBytes(s *CState) int64 {
 }
 
 // estBytes estimates the run's footprint from the worklist, the history and
-// the parent map. Computed from state sizes, not the allocator, so it is
+// the records. Computed from state sizes, not the allocator, so it is
 // deterministic across runs and platforms; the list contribution is
-// maintained incrementally by the push/pop/prune helpers.
+// maintained incrementally by the push/pop/prune helpers. A record costs
+// its slab entry, its map slot and its interned state (struct and key
+// string): len(key) + 200 bytes, pinned against measured heap growth by
+// TestRecordBytesEstimate. Every key of a protocol has the same length.
 func (x *expander) estBytes() int64 {
-	return x.listBytes + int64(len(x.recs))*64
+	keyLen := int64(2*x.e.n + 3)
+	return x.listBytes + int64(len(x.recs))*(keyLen+200)
 }
 
 // pushWork appends s to the working list (and its index).
@@ -436,6 +451,29 @@ func (x *expander) maybeCheckpoint() error {
 // is observationally identical to computing inline — which is what keeps
 // the two drivers bit-identical. It reports true when the run must return
 // immediately (StopOnViolation), with the result already finalized.
+//
+// A successor whose key already has a record is a repeat, and its visit
+// only counts, logs and reports OutcomeContained:
+//
+//   - Check is settled. It depends on the state alone, and the key was
+//     checked when its record was made: if it had violations, reported is
+//     set; otherwise it was clean. (A violating initial state is marked
+//     reported when startExpander checks it.)
+//   - Containment is settled: every recorded key is ⊆_F some state of
+//     {a} ∪ W ∪ H, and the down-closure of that union never shrinks. A
+//     new key enters W, or is dropped because a, W or H contains it. A
+//     popped item becomes the current a, and when it is done it enters H,
+//     is already contained in W or H, or was superseded by a successor in
+//     W that contains it. prune removes from W and H only states that the
+//     state it pushes into W contains. ⊆_F is reflexive and transitive, so
+//     each step keeps every earlier key covered. A checkpoint is taken
+//     between items and restores W, H and the records together, so a
+//     resumed run keeps the invariant. The full query would thus answer
+//     Contained, and Contains, inWork/inHist and prune are skipped.
+//   - Under NoContainment every recorded key was queued when its record
+//     was made, so identity dedup answers Contained too.
+//
+// testMemoHook lets the tests confirm each such verdict with the full query.
 func (x *expander) processItem(a *CState, memo *itemMemo) bool {
 	e, opts, res := x.e, x.opts, x.res
 	superseded := false
@@ -470,13 +508,20 @@ expandA:
 				res.Visits++
 				ap := su.State
 				rec := x.recs[ap.Key()]
-				if rec == nil {
-					rec = x.record(ap.Key(), a, su.Label)
+				seen := rec != nil
+				switch {
+				case !seen:
+					rec = x.record(ap.Key(), ap, a, su.Label)
+				case rec.state == nil:
+					rec.state = ap // a record rebuilt from a checkpoint
+				}
+				if seen && testMemoHook != nil {
+					testMemoHook(x, a, ap, rec)
 				}
 
 				// Erroneous-state detection happens before pruning so
 				// containment can never hide a violation.
-				if !rec.reported {
+				if !seen {
 					var v []fsm.Violation
 					if viols != nil {
 						v = viols[j]
@@ -501,13 +546,11 @@ expandA:
 
 				outcome := OutcomeNew
 				switch {
+				case seen:
+					outcome = OutcomeContained
 				case opts.NoContainment:
-					if rec.queued {
-						outcome = OutcomeContained
-					} else {
-						rec.queued = true
-						x.pushWork(ap)
-					}
+					rec.queued = true
+					x.pushWork(ap)
 				case Contains(a, ap):
 					outcome = OutcomeContained
 				case x.inWork(ap) || x.inHist(ap):
@@ -602,6 +645,11 @@ func (x *expander) run(ctx context.Context) (*Result, error) {
 	x.finishRun()
 	return x.res, nil
 }
+
+// testMemoHook, when set by tests, runs on every visit of a key that
+// already has a record, before processItem skips the key's Check and
+// containment query; the tests use it to confirm each skipped verdict.
+var testMemoHook func(x *expander, a, ap *CState, rec *keyRecord)
 
 // containedInAny is the reference linear scan, used by the index for
 // unmasked states and within candidate buckets.

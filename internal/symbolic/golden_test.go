@@ -8,9 +8,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
+	"repro/internal/ccpsl"
 	"repro/internal/fsm"
+	"repro/internal/mutate"
 	"repro/internal/protocols"
 	"repro/internal/runctl"
 )
@@ -48,10 +51,36 @@ type expandGoldenRow struct {
 	Log []string `json:"log,omitempty"`
 }
 
-// goldenCorpus is the parity corpus plus the synthetic family.
+// specCorpus returns every shipped spec plus every mutant of it.
+func specCorpus(t *testing.T) []*fsm.Protocol {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("..", "..", "specs", "*.ccpsl"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no specs found: %v", err)
+	}
+	sort.Strings(paths)
+	var out []*fsm.Protocol
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := ccpsl.Parse(string(src))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		out = append(out, p)
+		for _, m := range mutate.Catalog(p) {
+			out = append(out, m.Protocol)
+		}
+	}
+	return out
+}
+
+// goldenCorpus is the spec corpus plus the synthetic family.
 func goldenCorpus(t *testing.T) []*fsm.Protocol {
 	t.Helper()
-	out := parityCorpus(t)
+	out := specCorpus(t)
 	for k := 2; k <= 10; k++ {
 		p, err := protocols.Synthetic(k)
 		if err != nil {

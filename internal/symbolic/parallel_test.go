@@ -244,6 +244,7 @@ func TestParallelResumeRoundTrip(t *testing.T) {
 	if got := resumeSignature(res); got != want {
 		t.Fatalf("parallel resume of a sequential checkpoint diverges\ngot: %s\nwant: %s", got, want)
 	}
+	certifyClean(t, res, true)
 
 	// Parallel checkpoint → sequential resume.
 	res, err = e.Run(context.Background(), Options{Resume: capture(true)})
@@ -253,4 +254,5 @@ func TestParallelResumeRoundTrip(t *testing.T) {
 	if got := resumeSignature(res); got != want {
 		t.Fatalf("sequential resume of a parallel checkpoint diverges\ngot: %s\nwant: %s", got, want)
 	}
+	certifyClean(t, res, true)
 }

@@ -161,6 +161,7 @@ func TestSymbolicCheckpointResume(t *testing.T) {
 				t.Fatal("resumed run must complete")
 			}
 			sameRun(t, resumed, full, "resumed vs uninterrupted")
+			certifyClean(t, resumed, false)
 		})
 	}
 }
@@ -192,6 +193,7 @@ func TestSymbolicPeriodicCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameRun(t, resumed, full, "resume from periodic checkpoint")
+	certifyClean(t, resumed, false)
 }
 
 func TestSymbolicResumeValidation(t *testing.T) {

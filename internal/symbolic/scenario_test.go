@@ -24,8 +24,22 @@ func guardTab(e *Engine, states []fsm.State) *ruleTab {
 	for _, s := range states {
 		t.guardIdxs = append(t.guardIdxs, e.p.StateIndex(s))
 	}
-	t.guardIsValidSet = e.isValidSet(t.guardIdxs)
+	t.guardIsValidSet = isValidSet(e, t.guardIdxs)
 	return t
+}
+
+// isValidSet reports whether idxs is exactly the valid-copy set, as
+// compile.Protocol's GuardIsValidSet does for a rule's guard.
+func isValidSet(e *Engine, idxs []int) bool {
+	if len(idxs) != len(e.validIdxs) {
+		return false
+	}
+	for _, i := range idxs {
+		if i < 0 || !e.valid[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func TestSplitExistsDefiniteTrue(t *testing.T) {
